@@ -266,10 +266,10 @@ benchBusyBitmapPopcount()
 }
 
 /**
- * Deep-queue drain at 4x the eq_depth_16384 population: the shape
- * that separates heap arities (siftDown dominates, and the tree
- * depth spans more cache levels). Outside the headline pool so the
- * headline stays comparable with pre-PR7 records.
+ * Deep-queue drain at 4x the eq_depth_16384 population: siftDown
+ * dominates, and the tree depth spans more cache levels. Outside the
+ * headline pool so the headline stays comparable with pre-PR7
+ * records.
  */
 BenchResult
 benchEqDaryDepth()

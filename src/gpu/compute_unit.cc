@@ -97,6 +97,8 @@ ComputeUnit::reset()
     std::fill(simdRoundRobin_.begin(), simdRoundRobin_.end(), 0u);
     memQueue_.clear();
     portBlocked_ = false;
+    chained_ = false;
+    lastTick_ = 0;
     loadCtx_.clear();
     outstandingStores_ = 0;
     liveWavefronts_ = 0;
@@ -113,14 +115,39 @@ ComputeUnit::reset()
 void
 ComputeUnit::signalWork()
 {
-    if (!tickEvent_.scheduled())
-        eventQueue().schedule(&tickEvent_, clockEdge(Cycles(0)));
+    if (!chained_) {
+        // No chain to rejoin (or called from inside tick()): start a
+        // fresh one, ordered after everything scheduled so far.
+        if (!tickEvent_.scheduled())
+            eventQueue().schedule(&tickEvent_, clockEdge(Cycles(0)));
+        return;
+    }
+    // The per-cycle ticker would fire at its next edge in the chain's
+    // same-tick slot; wake there, or one edge later if this edge's
+    // slot has already been serviced.
+    Tick at = clockEdge(Cycles(0));
+    if (eventQueue().serviced(tickEvent_, at))
+        at += clockDomain().period();
+    if (tickEvent_.scheduled()) {
+        if (tickEvent_.when() <= at)
+            return;
+        eventQueue().deschedule(&tickEvent_);
+    }
+    eventQueue().reinsert(&tickEvent_, at);
 }
 
 void
 ComputeUnit::tick()
 {
+    // Every edge a chain slept through was a tick that found nothing
+    // to do but still counted as active.
+    if (chained_) {
+        statActiveCycles_ +=
+            (curTick() - lastTick_) / clockDomain().period() - 1;
+    }
     ++statActiveCycles_;
+    lastTick_ = curTick();
+    chained_ = false;
 
     for (unsigned s = 0; s < cfg_.simdsPerCu; ++s) {
         if (simdBusyUntil_[s] <= curTick())
@@ -129,21 +156,47 @@ ComputeUnit::tick()
 
     issueMemory();
 
-    // Re-arm only while issueable work exists; blocked wavefronts are
-    // woken by memory responses, port retries free the queue.
-    bool more = !memQueue_.empty() && !portBlocked_;
-    if (!more) {
-        for (const auto &wf : slots_) {
-            if (wf.active && !wf.instructionsDone() && !wf.waitingMem) {
-                more = true;
-                break;
+    // A workgroup dispatched to this CU inside the tick already
+    // started a fresh chain through signalWork().
+    if (tickEvent_.scheduled())
+        return;
+
+    // The chain continues while the queue can drain (tick at the next
+    // edge) or a wavefront is neither done nor waiting on loads (tick
+    // when the first SIMD holding a runnable one is free). Until then
+    // every tick would be a no-op; with no wake at all the CU sleeps
+    // until signalWork(): memory responses wake waiting wavefronts,
+    // port retries free the queue.
+    const Tick next = clockEdge(Cycles(1));
+    Tick wake = maxTick;
+    chained_ = !memQueue_.empty() && !portBlocked_;
+    if (chained_) {
+        wake = next;
+    } else {
+        for (unsigned s = 0; s < cfg_.simdsPerCu; ++s) {
+            for (unsigned k = 0; k < cfg_.wfSlotsPerSimd; ++k) {
+                const Wavefront &wf =
+                    slots_[s * cfg_.wfSlotsPerSimd + k];
+                if (!wf.active || wf.instructionsDone() ||
+                    wf.waitingMem)
+                    continue;
+                chained_ = true;
+                if (!queueBlocked(wf))
+                    wake = std::min(wake, simdBusyUntil_[s]);
             }
         }
     }
-    // A workgroup completion inside this tick may have re-armed the
-    // event via the dispatcher's startWorkgroup -> signalWork chain.
-    if (more && !tickEvent_.scheduled())
-        eventQueue().schedule(&tickEvent_, clockEdge(Cycles(1)));
+    if (wake != maxTick)
+        eventQueue().reinsert(&tickEvent_, std::max(wake, next));
+}
+
+bool
+ComputeUnit::queueBlocked(const Wavefront &wf) const
+{
+    const GpuOpType type = wf.program[wf.pcIdx].type;
+    return (type == GpuOpType::vload || type == GpuOpType::vstore) &&
+           wf.coalescedPc == wf.pcIdx &&
+           memQueue_.size() + wf.coalesced.size() > cfg_.memQueueDepth;
 }
 
 bool
@@ -154,7 +207,8 @@ ComputeUnit::issueFromSimd(unsigned simd)
         unsigned k = (simdRoundRobin_[simd] + n) % cfg_.wfSlotsPerSimd;
         int idx = static_cast<int>(base + k);
         Wavefront &wf = slots_[static_cast<std::size_t>(idx)];
-        if (!wf.active || wf.instructionsDone() || wf.waitingMem)
+        if (!wf.active || wf.instructionsDone() || wf.waitingMem ||
+            queueBlocked(wf))
             continue;
         if (executeOp(idx, wf)) {
             simdRoundRobin_[simd] = (k + 1) % cfg_.wfSlotsPerSimd;

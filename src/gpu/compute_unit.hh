@@ -3,8 +3,17 @@
  * A GCN-like compute unit: 4 SIMDs x 10 wavefront slots, one vector
  * instruction issued per SIMD per cycle, a coalescer feeding a
  * bounded per-CU memory queue, and an L1 port with retry flow
- * control. Ticks are only scheduled while issueable work exists, so
- * memory-bound phases cost no idle events.
+ * control.
+ *
+ * The tick is armed only for the earliest cycle at which it can
+ * change something: the next edge while the memory queue can drain,
+ * else the earliest free cycle of a SIMD holding a runnable
+ * wavefront. With nothing runnable the CU sleeps until signalWork()
+ * (port retry, a load that releases a waiting wavefront, or a
+ * workgroup dispatch). Results and stats are those of a CU that
+ * ticks every cycle while work is pending: a sleeping CU keeps its
+ * place in the same-tick order and counts the skipped cycles as
+ * active on wake (see tick() and signalWork()).
  */
 
 #ifndef MIGC_GPU_COMPUTE_UNIT_HH
@@ -87,6 +96,8 @@ class ComputeUnit : public SimObject
 
     void tick();
     void signalWork();
+    /** A vload/vstore whose coalesced lines do not fit the queue. */
+    bool queueBlocked(const Wavefront &wf) const;
     bool issueFromSimd(unsigned simd);
     bool executeOp(int slot_index, Wavefront &wf);
     void issueMemory();
@@ -128,6 +139,16 @@ class ComputeUnit : public SimObject
 
     std::deque<PendingLine> memQueue_;
     bool portBlocked_ = false;
+
+    /**
+     * True while a CU ticking every cycle would still be re-arming
+     * its tick: the tick event, pending or asleep, then stands for
+     * that chain of re-arms and keeps the sequence number the chain
+     * started with.
+     */
+    bool chained_ = false;
+    /** Tick of the last tick(); skipped chain cycles count from it. */
+    Tick lastTick_ = 0;
 
     /** Load packet id -> wavefront slot. */
     std::unordered_map<std::uint64_t, int> loadCtx_;

@@ -33,10 +33,12 @@ struct Wavefront
 
     /**
      * Coalesced lines of the memory op at @c coalescedPc. A blocked
-     * vload/vstore is re-considered every CU tick; coalescing is a
-     * pure function of the op, so the CU computes it once per
-     * program counter and reuses the buffer (storage persists across
-     * reset() to stay allocation-free between wavefronts).
+     * vload/vstore is re-checked against the memory queue on every
+     * CU tick (its line count is what marks it queue-blocked);
+     * coalescing is a pure function of the op, so the CU computes it
+     * once per program counter and reuses the buffer (storage
+     * persists across reset() to stay allocation-free between
+     * wavefronts).
      */
     std::vector<Addr> coalesced;
     std::size_t coalescedPc = SIZE_MAX;

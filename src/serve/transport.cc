@@ -238,7 +238,7 @@ std::unique_ptr<Stream>
 Listener::accept()
 {
     for (;;) {
-        int fd = ::accept(fd_, nullptr, nullptr);
+        int fd = ::accept(fd_.load(), nullptr, nullptr);
         if (fd < 0) {
             if (stopped_)
                 return nullptr;
@@ -255,16 +255,15 @@ Listener::accept()
 void
 Listener::stop()
 {
-    if (stopped_)
+    if (stopped_.exchange(true))
         return;
-    stopped_ = true;
-    if (fd_ >= 0) {
+    const int fd = fd_.exchange(-1);
+    if (fd >= 0) {
         // shutdown() alone does not unblock accept() on all kernels;
         // close() does, and accept() treats the error as the stop
         // signal.
-        ::shutdown(fd_, SHUT_RDWR);
-        ::close(fd_);
-        fd_ = -1;
+        ::shutdown(fd, SHUT_RDWR);
+        ::close(fd);
     }
     if (ep_.kind == Endpoint::Kind::unix_ && !ep_.path.empty())
         ::unlink(ep_.path.c_str());

@@ -41,6 +41,7 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -149,8 +150,9 @@ class Listener
     const Endpoint &bound() const { return ep_; }
 
   private:
-    int fd_ = -1;
-    bool stopped_ = false;
+    /** Atomic: stop() runs on another thread than a blocked accept(). */
+    std::atomic<int> fd_{-1};
+    std::atomic<bool> stopped_{false};
     Endpoint ep_;
 };
 

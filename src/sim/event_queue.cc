@@ -1,7 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace migc
@@ -35,7 +33,7 @@ EventQueue::siftUp(std::size_t i)
 {
     HeapSlot slot = heap_[i];
     while (i > 0) {
-        std::size_t parent = (i - 1) / heapArity;
+        std::size_t parent = (i - 1) / 2;
         if (!before(slot, heap_[parent]))
             break;
         heap_[i] = heap_[parent];
@@ -52,18 +50,11 @@ EventQueue::siftDown(std::size_t i)
     HeapSlot slot = heap_[i];
     const std::size_t n = heap_.size();
     for (;;) {
-        const std::size_t first = heapArity * i + 1;
-        if (first >= n)
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
             break;
-        // Pick the earliest-firing child; the lowest index wins ties
-        // through strict before(), matching the binary heap's
-        // sibling pick so the arity only changes internal layout.
-        std::size_t child = first;
-        const std::size_t last = std::min(first + heapArity, n);
-        for (std::size_t c = first + 1; c < last; ++c) {
-            if (before(heap_[c], heap_[child]))
-                child = c;
-        }
+        if (child + 1 < n && before(heap_[child + 1], heap_[child]))
+            ++child;
         if (!before(heap_[child], slot))
             break;
         heap_[i] = heap_[child];
@@ -86,9 +77,34 @@ EventQueue::schedule(Event *ev, Tick when)
              static_cast<unsigned long long>(when),
              static_cast<unsigned long long>(curTick_));
 
-    ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ev->queue_ = this;
+    insert(ev, when);
+}
+
+void
+EventQueue::reinsert(Event *ev, Tick when)
+{
+    panic_if(ev == nullptr, "reinserting null event");
+    panic_if(ev->scheduled(), "event '%s' already scheduled",
+             ev->name().c_str());
+    // A never-scheduled or reset-detached event has no sequence
+    // number that means anything in this queue's order.
+    panic_if(ev->queue_ != this,
+             "reinserting event '%s' never scheduled on this queue",
+             ev->name().c_str());
+    panic_if(when < curTick_,
+             "event '%s' reinserted in the past (%llu < %llu)",
+             ev->name().c_str(),
+             static_cast<unsigned long long>(when),
+             static_cast<unsigned long long>(curTick_));
+    insert(ev, when);
+}
+
+void
+EventQueue::insert(Event *ev, Tick when)
+{
+    ev->when_ = when;
     ev->heapIndex_ = heap_.size();
     heap_.push_back(HeapSlot{when, ev});
     siftUp(ev->heapIndex_);
@@ -137,6 +153,8 @@ EventQueue::reset()
     }
     heap_.clear();
     curTick_ = 0;
+    curPriority_ = noPriority;
+    curSeq_ = 0;
     nextSeq_ = 0;
     numProcessed_ = 0;
     processedByCategory_.fill(0);
@@ -165,6 +183,8 @@ EventQueue::serviceOne()
     Event *ev = popTop();
     panic_if(ev->when_ < curTick_, "time went backwards");
     curTick_ = ev->when_;
+    curPriority_ = ev->priority_;
+    curSeq_ = ev->seq_;
     ++numProcessed_;
     ++processedByCategory_[static_cast<std::size_t>(ev->category_)];
     if (logEnabled(LogLevel::trace)) {

@@ -7,19 +7,18 @@
  * tick and priority fire in scheduling order, which makes every
  * simulation bit-reproducible.
  *
- * The queue is an intrusive d-ary heap over the Event objects
+ * The queue is an intrusive binary heap over the Event objects
  * themselves: each event carries its own heap slot index, so
  * scheduling never allocates, descheduling is a true O(log n)
  * removal, and the heap holds exactly the pending events (no stale
  * entries to grow through under reschedule-heavy traffic such as
- * DRAM bank timers). The arity is the compile-time MIGC_EQ_ARITY (a
- * CMake cache variable): wider nodes make the tree shallower, so
- * siftUp — the schedule/deschedule path — does fewer compares, at
- * the cost of more sibling compares per level on siftDown. 4-ary
- * wins the synthetic reschedule storm but loses deep-queue drains
- * and the end-to-end runs (BENCH_micro.json, PR 7), so binary stays
- * the default. The arity never changes pop order because
- * (tick, priority, seq) is a strict total order over events.
+ * DRAM bank timers).
+ *
+ * An object that elides do-nothing re-arms of a periodic event (the
+ * compute unit's tick) keeps its same-tick position with two
+ * primitives: reinsert() puts an event back under the sequence
+ * number of its last schedule(), and serviced() tells whether that
+ * (tick, priority, seq) slot has already gone by.
  */
 
 #ifndef MIGC_SIM_EVENT_QUEUE_HH
@@ -28,6 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -147,17 +147,9 @@ class EventFunctionWrapper : public Event
  * allocation-free (amortized: the slot vector grows like any vector)
  * and the heap size always equals the pending-event count.
  */
-#ifndef MIGC_EQ_ARITY
-#define MIGC_EQ_ARITY 2
-#endif
-
 class EventQueue
 {
   public:
-    /** Children per heap node; see the file comment. */
-    static constexpr std::size_t heapArity = MIGC_EQ_ARITY;
-    static_assert(heapArity >= 2, "heap arity must be >= 2");
-
     EventQueue() { heap_.reserve(64); }
 
     /** Current simulated time. */
@@ -171,6 +163,32 @@ class EventQueue
 
     /** Deschedule if needed, then schedule at @p when. */
     void reschedule(Event *ev, Tick when);
+
+    /**
+     * Schedule the unscheduled @p ev at @p when (>= curTick) under
+     * the insertion sequence of its last schedule() on this queue, so
+     * it sorts among same-(tick, priority) events as if it had been
+     * scheduled back then. @p ev must have been scheduled on this
+     * queue since the last reset().
+     */
+    void reinsert(Event *ev, Tick when);
+
+    /**
+     * True when @p ev, placed at @p when under its current sequence
+     * number, would sort at or before the event being serviced (or,
+     * between events, the last one serviced): that slot of the
+     * (tick, priority, seq) order has already gone by, so a
+     * reinsert() there would fire out of order.
+     */
+    bool
+    serviced(const Event &ev, Tick when) const
+    {
+        if (when != curTick_)
+            return when < curTick_;
+        if (ev.priority_ != curPriority_)
+            return ev.priority_ < curPriority_;
+        return ev.seq_ <= curSeq_;
+    }
 
     bool empty() const { return heap_.empty(); }
 
@@ -187,10 +205,11 @@ class EventQueue
      * Return the queue to its just-constructed state while keeping
      * the heap array's capacity: every pending event is detached
      * (unscheduled, safe to destroy or reschedule), the clock returns
-     * to tick 0, the insertion sequence restarts, and the processed
-     * counters clear. Used by System::reset() so a worker can re-run
-     * a simulation on warm storage; a reset queue is observationally
-     * identical to a fresh one.
+     * to tick 0, the insertion sequence restarts, nothing counts as
+     * serviced, and the processed counters clear. Used by
+     * System::reset() so a worker can re-run a simulation on warm
+     * storage; a reset queue is observationally identical to a fresh
+     * one.
      */
     void reset();
 
@@ -251,8 +270,19 @@ class EventQueue
     /** Detach the root and restore the heap (no field cleanup). */
     Event *popTop();
 
+    /** Link @p ev into the heap at @p when under its current seq_. */
+    void insert(Event *ev, Tick when);
+
+    /** Priority below every real one: before the first service,
+     *  no (tick, priority, seq) key counts as serviced. */
+    static constexpr int noPriority = std::numeric_limits<int>::min();
+
     std::vector<HeapSlot> heap_;
     Tick curTick_ = 0;
+    /** (priority, seq) of the event being or last serviced; with
+     *  curTick_ the position serviced() compares against. */
+    int curPriority_ = noPriority;
+    std::uint64_t curSeq_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t numProcessed_ = 0;
     std::array<std::uint64_t, numEventCategories> processedByCategory_{};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -233,4 +235,122 @@ TEST(EventQueue, DeterministicTieBreaking)
         return order;
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(EventQueue, ReinsertKeepsOriginalSeqAgainstFreshSchedules)
+{
+    // x is scheduled before y and re-inserts itself at y's tick: it
+    // keeps its older sequence number and so fires first, where a
+    // fresh schedule() would have queued it behind y.
+    EventQueue eq;
+    std::vector<std::string> order;
+    EventFunctionWrapper x([&] { order.push_back("x"); }, "x");
+    EventFunctionWrapper y([&] { order.push_back("y"); }, "y");
+    EventFunctionWrapper z([&] { order.push_back("z"); }, "z");
+    eq.schedule(&x, 10);
+    eq.schedule(&y, 20);
+    eq.serviceOne();
+    eq.reinsert(&x, 20);
+    eq.schedule(&z, 20);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"x", "x", "y", "z"}));
+    EXPECT_EQ(eq.numProcessed(), 4u);
+}
+
+TEST(EventQueue, ReinsertAfterDescheduleKeepsOrderInTheHeap)
+{
+    // Pulled out of the middle of a deep heap and put back at a later
+    // tick, an event still sorts by the sequence it was given first.
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<std::unique_ptr<EventFunctionWrapper>> evs;
+    for (int i = 0; i < 32; ++i) {
+        evs.push_back(std::make_unique<EventFunctionWrapper>(
+            [&order, i] { order.push_back(i); }, "e"));
+        eq.schedule(evs.back().get(), i < 16 ? 5 : 50);
+    }
+    for (std::size_t i = 0; i < 16; i += 4) {
+        eq.deschedule(evs[i].get());
+        eq.reinsert(evs[i].get(), 50);
+    }
+    std::vector<int> expect = {1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15,
+                               0, 4, 8, 12};
+    for (int i = 16; i < 32; ++i)
+        expect.push_back(i);
+    eq.run();
+    EXPECT_EQ(order, expect);
+}
+
+TEST(EventQueue, ServicedTracksTheSameTickOrder)
+{
+    EventQueue eq;
+    EventFunctionWrapper resp([] {}, "resp", Event::responsePriority);
+    EventFunctionWrapper tick([] {}, "tick", Event::cpuTickPriority);
+    EventFunctionWrapper a([] {}, "a");
+    EventFunctionWrapper c([] {}, "c");
+    std::vector<bool> seen;
+    EventFunctionWrapper b(
+        [&] {
+            seen = {eq.serviced(a, 10),    eq.serviced(b, 10),
+                    eq.serviced(c, 10),    eq.serviced(a, 9),
+                    eq.serviced(c, 11),    eq.serviced(resp, 10),
+                    eq.serviced(tick, 10)};
+        },
+        "b");
+    eq.schedule(&resp, 30);
+    eq.schedule(&tick, 30);
+    eq.schedule(&a, 10);
+    eq.schedule(&b, 10);
+    eq.schedule(&c, 10);
+
+    // Before any service nothing has gone by, not even tick 0.
+    EXPECT_FALSE(eq.serviced(a, 0));
+    EXPECT_FALSE(eq.serviced(resp, 0));
+
+    eq.serviceOne();
+    EXPECT_TRUE(eq.serviced(a, 10));
+    EXPECT_FALSE(eq.serviced(b, 10));
+
+    // During b: earlier same-tick keys and b itself are behind,
+    // later ones and later ticks are not; priority decides before
+    // seq.
+    eq.serviceOne();
+    EXPECT_EQ(seen, (std::vector<bool>{true, true, false, true, false,
+                                       true, false}));
+
+    // Between events the last serviced key is the reference.
+    eq.serviceOne();
+    EXPECT_TRUE(eq.serviced(c, 10));
+    EXPECT_FALSE(eq.serviced(a, 11));
+    eq.run();
+    EXPECT_TRUE(eq.serviced(tick, 30));
+}
+
+TEST(EventQueue, ReinsertAndServicedSurviveReset)
+{
+    EventQueue eq;
+    std::vector<std::string> order;
+    EventFunctionWrapper x([&] { order.push_back("x"); }, "x");
+    EventFunctionWrapper y([&] { order.push_back("y"); }, "y");
+    eq.schedule(&x, 10);
+    eq.schedule(&y, 10);
+    eq.serviceOne();
+    EXPECT_TRUE(eq.serviced(x, 10));
+
+    // y is detached while pending: its old sequence number means
+    // nothing in the reset order, so re-inserting it is refused.
+    eq.reset();
+    EXPECT_FALSE(eq.serviced(x, 0));
+    EXPECT_FALSE(eq.serviced(x, 10));
+    EXPECT_DEATH(eq.reinsert(&y, 10), "never scheduled");
+
+    // Fresh schedules restart the order; reinsert follows it.
+    order.clear();
+    eq.schedule(&y, 5);
+    eq.schedule(&x, 6);
+    eq.serviceOne();
+    EXPECT_DEATH(eq.reinsert(&x, 6), "already scheduled");
+    eq.reinsert(&y, 6);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"y", "y", "x"}));
 }

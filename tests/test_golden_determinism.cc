@@ -19,11 +19,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "core/runner.hh"
 #include "core/sim_config.hh"
 #include "core/system.hh"
+#include "sim/rng.hh"
 #include "workloads/workload.hh"
 
 using namespace migc;
@@ -187,6 +189,92 @@ TEST(GoldenDeterminism, ResetRunHasSameSimEventsAsFreshRun)
     EXPECT_EQ(reused.simEvents, fresh.simEvents);
     EXPECT_EQ(reused.execTicks, fresh.execTicks);
 }
+
+namespace
+{
+
+/**
+ * Same-tick order contract for the compute-unit tick elision. Each
+ * point pins an FNV-1a hash of its RunMetrics csv (simEvents zeroed)
+ * followed by the complete stat-tree dump (per-CU active_cycles
+ * included), and the run's simEvents. The hashes were captured on
+ * the simulator that re-armed every CU tick each cycle; a CU that
+ * sleeps must reproduce them exactly. Beyond the six golden pairs,
+ * the five extra points are the ones that diverge when a CU wakes
+ * into a same-tick slot that has already been serviced.
+ *
+ * simEvents is a scheduler cost, not a modeled result: it is pinned
+ * so any change to the event count is a deliberate re-capture. The
+ * per-cycle-tick simulator's counts are in the trailing comments.
+ */
+struct OrderPin
+{
+    const char *workload;
+    const char *policy;
+    std::uint64_t resultHash;
+    std::uint64_t simEvents;
+};
+
+const OrderPin kOrderPins[] = {
+    {"DGEMM", "Uncached",
+     0xcd9abf1ec977176eULL, 83074}, // was 147625
+    {"FwBN", "CacheR",
+     0x2739677fc2e48c64ULL, 118383}, // was 127430
+    {"FwPool", "CacheRW",
+     0xc653013a5f2f6263ULL, 541950}, // was 613030
+    {"BwSoft", "CacheRW-AB",
+     0xe3559c406301c924ULL, 8333}, // was 8711
+    {"FwLSTM", "CacheRW-CR",
+     0xcdb3994decee5939ULL, 189053}, // was 206768
+    {"FwAct", "CacheRW-PCby",
+     0x5933f2ccbbd90d6cULL, 269610}, // was 304549
+    {"FwPool", "Uncached",
+     0xe9264275705255abULL, 647367}, // was 698715
+    {"FwPool", "CacheR",
+     0x73d6e85f2f018625ULL, 525014}, // was 594524
+    {"BwPool", "CacheRW-AB",
+     0xbc39dce4c1391844ULL, 493851}, // was 550529
+    {"BwPool", "CacheRW-DynAB",
+     0xa7ce6c1b1dedaaf7ULL, 482283}, // was 538222
+    {"FwLRN", "CacheRW-DynAB",
+     0x7a3a9ad0e6a0b85dULL, 1185024}, // was 1353162
+};
+
+class OrderContract : public ::testing::TestWithParam<OrderPin>
+{};
+
+} // namespace
+
+TEST_P(OrderContract, ResultsAndStatTreeMatchPerCycleTicking)
+{
+    const OrderPin &p = GetParam();
+    SimConfig cfg = SimConfig::testConfig();
+    cfg.seed = runSeedFor(cfg, p.workload, p.policy);
+    System sys(cfg, CachePolicy::fromName(p.policy));
+    RunMetrics m = runWorkloadOn(sys, *makeWorkload(p.workload));
+
+    const auto sim_events = static_cast<std::uint64_t>(m.simEvents);
+    m.simEvents = 0;
+    std::ostringstream text;
+    text << m.toCsv() << "\n";
+    sys.stats().dump(text);
+
+    EXPECT_EQ(fnv1a(text.str()), p.resultHash)
+        << std::hex << "0x" << fnv1a(text.str());
+    EXPECT_EQ(sim_events, p.simEvents);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Points, OrderContract, ::testing::ValuesIn(kOrderPins),
+    [](const ::testing::TestParamInfo<OrderPin> &info) {
+        std::string name = std::string(info.param.workload) + "_" +
+                           info.param.policy;
+        for (char &c : name) {
+            if (c == '-')
+                c = '_';
+        }
+        return name;
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, GoldenDeterminism, ::testing::ValuesIn(kGoldens),

@@ -124,6 +124,32 @@ TEST(HotPathAlloc, RescheduleIsAllocationFree)
     eq.run();
 }
 
+TEST(HotPathAlloc, ReinsertAndServicedAreAllocationFree)
+{
+    // The compute unit's sleep/wake path: re-insert under a kept
+    // sequence number, and ask whether a slot has gone by.
+    EventQueue eq;
+    EventFunctionWrapper a([] {}, "a", Event::cpuTickPriority);
+    EventFunctionWrapper b([] {}, "b");
+    eq.schedule(&a, 1);
+    eq.schedule(&b, 1);
+
+    CountingScope scope;
+    int behind = 0;
+    for (int i = 0; i < 100'000; ++i) {
+        eq.serviceOne();
+        eq.serviceOne();
+        behind += eq.serviced(a, eq.curTick()) ? 1 : 0;
+        eq.reinsert(&a, eq.curTick() + 1);
+        eq.deschedule(&a);
+        eq.reinsert(&a, eq.curTick() + 1);
+        eq.schedule(&b, eq.curTick() + 1);
+    }
+    EXPECT_EQ(scope.stop(), 0u);
+    EXPECT_EQ(behind, 100'000);
+    eq.run();
+}
+
 TEST(HotPathAlloc, SystemResetKeepsAllocationsWarm)
 {
     // The sweep engine re-runs workloads on a reset System. Three
