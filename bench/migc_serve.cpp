@@ -130,13 +130,6 @@ main(int argc, char **argv)
     // load, per-simulation informs) off it in both modes.
     setInformStream(stderr);
 
-    // A shard worker answers foreign grid points with all-zero
-    // placeholder rows; a query service must never be in a position
-    // to produce one. Serve the merged canonical cache instead.
-    fatal_if(shardFromEnv().active(),
-             "migc_serve cannot run under MIGC_SHARDS: serve the "
-             "merged canonical cache, not one shard's slice");
-
     SweepEngine engine(cache);
     opts.cachePath = cache;
     ServeService service(engine, opts);

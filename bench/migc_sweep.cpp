@@ -20,18 +20,14 @@
  *  - listening coordinator: `--listen SOCK --shards N` is the
  *    coordinator without the forking - workers are started by hand
  *    or a launcher (what `--manifest` prints); it merges at drain.
- *  - static worker: `--shards N --shard-index i` (no socket) is the
- *    coordinator-free hash partition (shard.hh) that every figure
- *    binary also speaks via MIGC_SHARDS / MIGC_SHARD_INDEX.
  *  - merge: `--shards N --merge` performs just the join - union the
  *    shard files into the canonical cache, dedupe identical rows,
  *    fail loudly on conflicting rows, delete the merged inputs.
  *
  * The grid is workloads x policies on one configuration; results
  * land in the same RunCache namespaces the figure binaries read, so
- * a sharded cold sweep followed by a merge makes every figure
- * binary's run free. See docs/SWEEPS.md for the workflows and the
- * fleet protocol.
+ * a cold fleet sweep makes every figure binary's run free. See
+ * docs/SWEEPS.md for the workflows and the fleet protocol.
  */
 
 #include <sys/wait.h>
@@ -72,8 +68,8 @@ struct Options
     std::string cache;              // resolved in resolveCachePath()
     std::vector<std::string> workloads; // override (empty = grid's)
     std::vector<std::string> policies;  // override (empty = grid's)
-    unsigned shards = 0;   // 0 = unsharded
-    int shardIndex = -1;   // -1 = coordinator when shards > 0
+    unsigned shards = 0;   // 0 = single-process sweep
+    int shardIndex = -1;   // fleet worker index (needs --fleet)
     unsigned jobs = 0;     // threads per process (0 = MIGC_JOBS)
     bool manifest = false;
     bool merge = false;
@@ -110,12 +106,9 @@ usage(const char *argv0)
         "  --shards N             run an N-worker elastic fleet (fork\n"
         "                         local workers, lease run-key ranges,\n"
         "                         steal from stragglers, merge at join)\n"
-        "  --shard-index I        run as worker I in [0, N): a fleet\n"
-        "                         worker with --fleet, else the static\n"
-        "                         hash-partition worker\n"
+        "  --shard-index I        run as fleet worker I (with --fleet)\n"
         "  --fleet SPEC           lease work from the coordinator at\n"
-        "                         SPEC instead of a static slice;\n"
-        "                         SPEC is unix:<path>, tcp:<host>:<port>,\n"
+        "                         SPEC: unix:<path>, tcp:<host>:<port>,\n"
         "                         or a bare AF_UNIX path\n"
         "  --listen SPEC          coordinate on SPEC without forking\n"
         "                         workers (start them by hand; see\n"
@@ -261,10 +254,10 @@ parseArgs(int argc, char **argv)
             fatal("unknown option %s", arg.c_str());
         }
     }
-    fatal_if(opt.shardIndex >= 0 && opt.shards == 0 &&
-                 opt.fleetSocket.empty(),
-             "--shard-index needs --shards (static worker) or "
-             "--fleet (fleet worker)");
+    fatal_if(opt.shardIndex >= 0 && opt.fleetSocket.empty(),
+             "--shard-index names a fleet worker and needs --fleet "
+             "SPEC; start the coordinator with --listen SPEC --shards "
+             "N, or let --shards N fork the workers itself");
     fatal_if(opt.shardIndex >= 0 && opt.shards > 0 &&
                  static_cast<unsigned>(opt.shardIndex) >= opt.shards,
              "--shard-index %d out of range for --shards %u",
@@ -298,6 +291,12 @@ parseArgs(int argc, char **argv)
                   !opt.listenSocket.empty()),
              "--convert/--export only rewrite the cache; they cannot "
              "be combined with sweep or fleet roles");
+    fatal_if(opt.merge && opt.shards == 0, "--merge needs --shards");
+    fatal_if(opt.manifest && opt.shards == 0,
+             "--manifest needs --shards");
+    fatal_if(!opt.listenSocket.empty() && opt.shards == 0,
+             "--listen needs --shards (the merge scans shard files "
+             "0..N-1, and workers must use indices below N)");
     return opt;
 }
 
@@ -460,33 +459,21 @@ fleetSocketPath(const std::string &cache)
 }
 
 int
-runSweep(const Options &opt, const std::string &cache, ShardSpec shard)
+runSweep(const Options &opt, const std::string &cache)
 {
     SimConfig cfg = makeConfig(opt);
     std::vector<RunRequest> requests = buildGrid(opt, cfg);
-    SweepEngine engine(cache, shard);
+    SweepEngine engine(cache);
     if (opt.slowMs > 0)
         engine.setInjectedRunDelayMs(opt.slowMs);
     engine.run(requests, opt.jobs);
     engine.flush();
-    if (shard.active()) {
-        std::printf("shard %u/%u: %llu simulated, %llu from cache, "
-                    "%llu owned elsewhere (grid: %zu points)\n",
-                    shard.index, shard.shards,
-                    static_cast<unsigned long long>(
-                        engine.simulationsPerformed()),
-                    static_cast<unsigned long long>(engine.cacheHits()),
-                    static_cast<unsigned long long>(
-                        engine.shardSkipped()),
-                    requests.size());
-    } else {
-        std::printf("sweep done: %llu simulated, %llu from cache "
-                    "(grid: %zu points, %zu cache parse errors)\n",
-                    static_cast<unsigned long long>(
-                        engine.simulationsPerformed()),
-                    static_cast<unsigned long long>(engine.cacheHits()),
-                    requests.size(), engine.cacheParseErrors());
-    }
+    std::printf("sweep done: %llu simulated, %llu from cache "
+                "(grid: %zu points, %zu cache parse errors)\n",
+                static_cast<unsigned long long>(
+                    engine.simulationsPerformed()),
+                static_cast<unsigned long long>(engine.cacheHits()),
+                requests.size(), engine.cacheParseErrors());
     return 0;
 }
 
@@ -695,7 +682,7 @@ coordinateFleet(const Options &opt, const std::string &cache,
 int
 main(int argc, char **argv)
 {
-    Options opt = parseArgs(argc, argv);
+    const Options opt = parseArgs(argc, argv);
 
     // Resolve --cache-format by publishing it as MIGC_CACHE_FORMAT
     // before the first RunCache exists: one source of truth for this
@@ -704,38 +691,10 @@ main(int argc, char **argv)
     if (!opt.cacheFormat.empty())
         ::setenv("MIGC_CACHE_FORMAT", opt.cacheFormat.c_str(), 1);
 
-    // No --shards on the command line: honor the same environment
-    // hook every figure binary obeys, so `MIGC_SHARDS=4
-    // MIGC_SHARD_INDEX=0 migc_sweep` is a worker rather than a
-    // silent full-grid run duplicating the rest of the fleet
-    // (shardFromEnv is fatal on malformed or index-less specs).
-    // --merge and --manifest only need the shard *count*, so they
-    // accept MIGC_SHARDS without an index.
-    if (opt.shards == 0 && opt.fleetSocket.empty()) {
-        const char *env_shards = std::getenv("MIGC_SHARDS");
-        if ((opt.merge || opt.manifest) && env_shards &&
-            env_shards[0] != '\0') {
-            opt.shards =
-                parseCount("MIGC_SHARDS", env_shards, 1, 4096);
-        } else {
-            ShardSpec env = shardFromEnv();
-            if (env.active()) {
-                opt.shards = env.shards;
-                opt.shardIndex = static_cast<int>(env.index);
-            }
-        }
-    }
-    fatal_if(opt.merge && opt.shards == 0, "--merge needs --shards");
-    fatal_if(opt.manifest && opt.shards == 0,
-             "--manifest needs --shards");
-    fatal_if(!opt.listenSocket.empty() && opt.shards == 0,
-             "--listen needs --shards (the merge scans shard files "
-             "0..N-1, and workers must use indices below N)");
-
     const std::string cache = resolveCachePath(opt);
     fatal_if(cache.empty() &&
                  (opt.shards > 0 || !opt.fleetSocket.empty()),
-             "sharded sweeps need a cache file to merge "
+             "fleet sweeps need a cache file to merge "
              "(unset MIGC_NO_CACHE or pass --cache)");
 
     if (opt.convert || !opt.exportPath.empty()) {
@@ -818,14 +777,9 @@ main(int argc, char **argv)
         return coordinateFleet(opt, cache, argv[0],
                                /*listen_only=*/true);
 
-    if (opt.shards > 0 && opt.shardIndex < 0)
+    if (opt.shards > 0)
         return coordinateFleet(opt, cache, argv[0],
                                /*listen_only=*/false);
 
-    ShardSpec shard;
-    if (opt.shards > 0) {
-        shard.shards = opt.shards;
-        shard.index = static_cast<unsigned>(opt.shardIndex);
-    }
-    return runSweep(opt, cache, shard);
+    return runSweep(opt, cache);
 }

@@ -214,7 +214,7 @@ bool
 CacheSnapshot::Builder::add(const std::string &sig,
                             const RunMetrics *row)
 {
-    if (row == nullptr || row->placeholder)
+    if (row == nullptr)
         return false;
     auto [it, fresh] = sections_[sig].emplace(
         Key{row->workload, row->policy}, row);
@@ -228,7 +228,7 @@ bool
 CacheSnapshot::Builder::addSorted(const std::string &sig,
                                   const RunMetrics *row)
 {
-    if (row == nullptr || row->placeholder)
+    if (row == nullptr)
         return false;
     if (!haveHint_ || hintSection_->first != sig) {
         // New (or first) section: hint at the end of the section

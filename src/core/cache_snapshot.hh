@@ -153,9 +153,7 @@ class CacheSnapshot
         /**
          * Index @p row under (@p sig, row->workload, row->policy).
          * First add wins: returns false (and changes nothing) when
-         * the key is already present. Placeholder rows are refused
-         * (returns false): a snapshot is a serving surface, and an
-         * all-zero stand-in must never be served as a result.
+         * the key is already present, or @p row is null.
          * The caller guarantees @p row outlives the built snapshot
          * or registers its owner via retain().
          */

@@ -221,12 +221,20 @@ parseV4Segment(const char *p, std::size_t avail, V4SegmentView &seg,
 
     // Recompute the layout from the counts and demand exact
     // agreement with the declared size before touching any offset.
-    if (string_count > avail / 8 || row_count > avail / sizeof(V4Row))
+    // Every count is bounded by the bytes present first, and the sum
+    // is overflow-checked: a layout that only adds up modulo 2^64
+    // would otherwise match the declared size while its string table
+    // reaches far past the buffer.
+    constexpr std::uint64_t row_bytes = sizeof(V4Key) + sizeof(V4Row);
+    if (string_count > avail / 8 || string_bytes > avail ||
+        row_count > avail / row_bytes)
         return fail(why, "segment counts exceed the available bytes");
-    const std::uint64_t expect =
-        kV4HeaderBytes + 8 * string_count + string_bytes +
-        sizeof(V4Key) * row_count + sizeof(V4Row) * row_count +
-        kV4FooterBytes;
+    std::uint64_t expect = kV4HeaderBytes + kV4FooterBytes;
+    for (std::uint64_t part :
+         {8 * string_count, string_bytes, row_bytes * row_count}) {
+        if (__builtin_add_overflow(expect, part, &expect))
+            return fail(why, "segment layout overflows");
+    }
     if (seg_bytes != expect || (string_bytes & 7) != 0)
         return fail(why, "segment layout is inconsistent with its "
                          "declared size");

@@ -98,8 +98,7 @@ static_assert(sizeof(V4Key) == 16, "v4 key layout drifted");
  *  exact same values byte-identically. */
 V4Row packV4Row(const RunMetrics &m);
 
-/** Unpack numeric fields into @p out (leaves names/placeholder
- *  alone). */
+/** Unpack numeric fields into @p out (leaves the names alone). */
 void unpackV4Row(const V4Row &row, RunMetrics &out);
 
 /** One row bound for a segment: names as views (the writer interns

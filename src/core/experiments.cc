@@ -88,21 +88,6 @@ ExperimentSweep::staticWorst(const std::string &workload)
 namespace
 {
 
-/**
- * Fetch one grid point for a figure, counting shard placeholder
- * rows so the renderers can warn (report.hh). Every figure-builder
- * lookup goes through here.
- */
-const RunMetrics &
-figRow(ExperimentSweep &sweep, FigureData &fig, const std::string &w,
-       const std::string &p)
-{
-    const RunMetrics &m = sweep.get(w, p);
-    if (m.placeholder)
-        ++fig.placeholderRows;
-    return m;
-}
-
 /** Common scaffolding: one series per policy, rows in paper order. */
 FigureData
 policyFigure(ExperimentSweep &sweep, const std::string &title,
@@ -119,10 +104,9 @@ policyFigure(ExperimentSweep &sweep, const std::string &title,
     for (const auto &p : policies) {
         std::vector<double> row;
         for (const auto &w : fig.workloads) {
-            double v = extract(figRow(sweep, fig, w, p));
+            double v = extract(sweep.get(w, p));
             if (normalize_to_policy) {
-                double base = extract(
-                    figRow(sweep, fig, w, normalize_to_policy));
+                double base = extract(sweep.get(w, normalize_to_policy));
                 v = base > 0 ? v / base : 0.0;
             }
             row.push_back(v);
@@ -191,14 +175,12 @@ optFigure(ExperimentSweep &sweep, const std::string &title,
         std::vector<double> row;
         for (const auto &w : fig.workloads) {
             std::string policy = resolveSeries(sweep, series, w);
-            double v = extract(figRow(sweep, fig, w, policy));
+            double v = extract(sweep.get(w, policy));
             if (norm_to_best) {
-                double base = extract(
-                    figRow(sweep, fig, w, sweep.staticBest(w)));
+                double base = extract(sweep.get(w, sweep.staticBest(w)));
                 v = base > 0 ? v / base : 0.0;
             } else if (norm_to_uncached) {
-                double base =
-                    extract(figRow(sweep, fig, w, "Uncached"));
+                double base = extract(sweep.get(w, "Uncached"));
                 v = base > 0 ? v / base : 0.0;
             }
             row.push_back(v);
@@ -220,7 +202,7 @@ figure4(ExperimentSweep &sweep)
     fig.series = {"CacheR"};
     std::vector<double> row;
     for (const auto &w : fig.workloads)
-        row.push_back(figRow(sweep, fig, w, "CacheR").gvops);
+        row.push_back(sweep.get(w, "CacheR").gvops);
     fig.values.push_back(std::move(row));
     return fig;
 }
@@ -235,7 +217,7 @@ figure5(ExperimentSweep &sweep)
     fig.series = {"CacheR"};
     std::vector<double> row;
     for (const auto &w : fig.workloads)
-        row.push_back(figRow(sweep, fig, w, "CacheR").gmrps);
+        row.push_back(sweep.get(w, "CacheR").gmrps);
     fig.values.push_back(std::move(row));
     return fig;
 }

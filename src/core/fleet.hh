@@ -1,16 +1,16 @@
 /**
  * @file
- * The elastic shard fleet: a lease-based work queue that replaces the
- * static run-key partition for coordinated multi-process sweeps.
+ * The elastic shard fleet: the lease-based work queue behind every
+ * multi-process sweep.
  *
- * PR 5's sharding split a grid by a stable key hash - correct and
- * coordinator-free, but static: one slow or crashed worker owns its
- * slice forever, so the sweep makespan is the straggler's wall
- * clock. The fleet keeps the same workers, cache files, and merge
- * join, and replaces only the *assignment*: a coordinator owns the
- * ordered run-key list (longest-estimated-job-first) and workers
- * lease small ranges of it over a socket (AF_UNIX or TCP, see
- * serve/transport.hh), so assignment follows measured progress
+ * A static split of the grid (say, by a stable key hash) is correct
+ * and coordinator-free, but one slow or crashed worker owns its slice
+ * forever, so the sweep makespan is the straggler's wall clock. In
+ * the fleet a coordinator owns the ordered run-key list
+ * (longest-estimated-job-first) and workers lease small ranges of it
+ * over a socket (AF_UNIX or TCP, see serve/transport.hh), writing
+ * their results to per-worker shard cache files the coordinator
+ * merges at join (shard.hh), so assignment follows measured progress
  * instead of a fork-time guess.
  *
  * Three mechanisms bound the makespan:
@@ -505,7 +505,7 @@ class FleetClient
 // ---------------------------------------------------------------------
 
 /**
- * Makespan of the static PR 5 partition: key i runs on worker
+ * Makespan of a static partition: key i runs on worker
  * owners[i]; worker w processes its whole slice at speeds[w] relative
  * speed. Assignment is fixed at fork time, so the makespan is the
  * slowest worker's slice time - the straggler problem the fleet

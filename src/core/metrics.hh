@@ -65,21 +65,10 @@ struct RunMetrics
      */
     double simEvents = 0.0;
 
-    /**
-     * In-memory-only marker for the all-zero stand-in rows a shard
-     * worker hands out for grid points other shards own
-     * (SweepEngine::placeholderFor). Deliberately NOT serialized:
-     * toCsv()/fromCsv() ignore it, so cache bytes and goldens are
-     * unchanged and a placeholder can never be mistaken for a real
-     * result after a round-trip - the cache simply never holds one
-     * (RunCache::insert refuses them). Downstream consumers check it
-     * to avoid plotting or serving zeros as if they were measured:
-     * figure paths warn (report.hh), migc_serve refuses.
-     */
+    /** Never set and never serialized; perfbench/grid.cc reads it. */
     bool placeholder = false;
 
-    /** Serialize to CSV (schema in csvHeader()); placeholder rows
-     *  must never reach this - callers gate on the flag. */
+    /** Serialize to CSV (schema in csvHeader()). */
     std::string toCsv() const;
 
     static std::string csvHeader();

@@ -8,8 +8,6 @@
 #include <fstream>
 #include <iomanip>
 
-#include "core/shard.hh"
-
 #include "sim/logging.hh"
 
 namespace migc
@@ -25,30 +23,8 @@ FigureData::at(std::size_t series_idx, std::size_t workload_idx) const
 }
 
 void
-warnPlaceholderRows(std::size_t count, const std::string &what)
-{
-    if (count == 0)
-        return;
-    warn("%s: %zu value%s come%s from all-zero shard placeholder "
-         "rows, not measurements - merge the shard caches "
-         "(migc_sweep) and re-run for a complete figure",
-         what.c_str(), count, count == 1 ? "" : "s",
-         count == 1 ? "s" : "");
-}
-
-std::size_t
-countPlaceholderRows(const std::vector<RunMetrics> &rows)
-{
-    std::size_t n = 0;
-    for (const RunMetrics &m : rows)
-        n += m.placeholder ? 1 : 0;
-    return n;
-}
-
-void
 printFigure(std::ostream &os, const FigureData &fig, int precision)
 {
-    warnPlaceholderRows(fig.placeholderRows, fig.title);
     os << "== " << fig.title << " ==\n";
     if (!fig.valueLabel.empty())
         os << "   (" << fig.valueLabel << ")\n";
@@ -82,30 +58,15 @@ printFigure(std::ostream &os, const FigureData &fig, int precision)
 void
 writeFigureCsv(const std::string &path, const FigureData &fig)
 {
-    // A shard worker's figure is partial by design (grid points
-    // other shards own are placeholder zeros), so it lands next to
-    // the real figure as <path>.shard<i> instead of clobbering the
-    // complete CSV a normal run wrote in the same directory. The
-    // redirect keys off the environment hook because that is how
-    // every figure binary shards; a driver that shards through an
-    // explicit ShardSpec (and writes figures, which migc_sweep does
-    // not) must pick its own output path.
-    warnPlaceholderRows(fig.placeholderRows, path);
-    std::string target = path;
-    ShardSpec shard = shardFromEnv();
-    if (shard.active())
-        target = shardCachePath(path, shard.index);
-
     // Write-then-rename, like the run cache: concurrent processes
-    // (e.g. two shard workers of the same figure binary in one
-    // directory) each land a complete file instead of interleaving
-    // into the same ofstream.
-    std::string tmp = csprintf("%s.%d.tmp", target.c_str(),
+    // writing the same figure in one directory each land a complete
+    // file instead of interleaving into the same ofstream.
+    std::string tmp = csprintf("%s.%d.tmp", path.c_str(),
                                static_cast<int>(::getpid()));
     {
         std::ofstream out(tmp, std::ios::trunc);
         if (!out) {
-            warn("could not write figure CSV to %s", target.c_str());
+            warn("could not write figure CSV to %s", path.c_str());
             return;
         }
         out << "workload";
@@ -120,13 +81,13 @@ writeFigureCsv(const std::string &path, const FigureData &fig)
         }
         if (!out.good()) {
             std::remove(tmp.c_str());
-            warn("could not write figure CSV to %s", target.c_str());
+            warn("could not write figure CSV to %s", path.c_str());
             return;
         }
     }
-    if (std::rename(tmp.c_str(), target.c_str()) != 0) {
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         warn("could not move figure CSV into place at %s",
-             target.c_str());
+             path.c_str());
         std::remove(tmp.c_str());
     }
 }

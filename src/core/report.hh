@@ -26,27 +26,8 @@ struct FigureData
     /** values[s][w] = series s, workload w. */
     std::vector<std::vector<double>> values;
 
-    /**
-     * How many of the rows behind `values` were all-zero shard
-     * placeholders (RunMetrics::placeholder) rather than measured
-     * results - nonzero when a figure is built inside one shard of
-     * an unmerged multi-process sweep. printFigure/writeFigureCsv
-     * warn so the zeros cannot pass for data.
-     */
-    std::size_t placeholderRows = 0;
-
     double at(std::size_t series_idx, std::size_t workload_idx) const;
 };
-
-/**
- * Warn (once per call) when @p count placeholder rows back @p what;
- * shared by the FigureData renderers and the batch-sweep binaries
- * (fig14, ablations) that consume SweepEngine::run output directly.
- */
-void warnPlaceholderRows(std::size_t count, const std::string &what);
-
-/** Count placeholder rows in a SweepEngine::run result batch. */
-std::size_t countPlaceholderRows(const std::vector<RunMetrics> &rows);
 
 /** Render @p fig as an aligned ASCII table. */
 void printFigure(std::ostream &os, const FigureData &fig,

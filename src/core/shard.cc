@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -225,43 +224,6 @@ shardOf(const std::string &sig, const std::string &workload,
     panic_if(shards == 0, "shardOf called with zero shards");
     return static_cast<unsigned>(runKeyHash(sig, workload, policy) %
                                  shards);
-}
-
-bool
-ShardSpec::owns(const std::string &sig, const std::string &workload,
-                const std::string &policy) const
-{
-    return !active() || shardOf(sig, workload, policy, shards) == index;
-}
-
-ShardSpec
-shardFromEnv()
-{
-    ShardSpec spec;
-    const char *shards = std::getenv("MIGC_SHARDS");
-    const char *index = std::getenv("MIGC_SHARD_INDEX");
-    if (shards == nullptr || shards[0] == '\0') {
-        fatal_if(index != nullptr && index[0] != '\0',
-                 "MIGC_SHARD_INDEX is set but MIGC_SHARDS is not");
-        return spec;
-    }
-    spec.shards = parseBoundedUnsigned("MIGC_SHARDS", shards, 1, 4096);
-    if (index == nullptr || index[0] == '\0') {
-        // A worker must know which slice is its own: running the
-        // whole grid because the index was forgotten would silently
-        // duplicate every other worker's simulations.
-        fatal_if(spec.active(),
-                 "MIGC_SHARDS=%u needs MIGC_SHARD_INDEX in [0, %u)",
-                 spec.shards, spec.shards);
-        return spec;
-    }
-    // Validate the index even for MIGC_SHARDS=1: an out-of-range
-    // index means the user meant a different fleet size, and
-    // running the full grid would be the silent-duplication failure
-    // this function exists to prevent.
-    spec.index = parseBoundedUnsigned("MIGC_SHARD_INDEX", index, 0,
-                                      spec.shards - 1);
-    return spec;
 }
 
 std::string

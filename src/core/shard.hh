@@ -1,34 +1,21 @@
 /**
  * @file
- * Deterministic multi-process sharding of sweep grids.
+ * Shard cache files and the coordinator join of a multi-process
+ * sweep.
  *
  * A sweep grid is a set of run keys (config signature, workload,
- * policy). A ShardSpec partitions that set across N cooperating
- * processes by a stable hash of the key text: shard i owns exactly
- * the keys whose hash lands on index i. The hash covers the run key
- * and nothing else, so the partition depends only on the grid
- * itself - it is independent of MIGC_JOBS, of submission order, and
- * of which binary submits the request. Two different binaries
- * sweeping overlapping grids under the same shard spec therefore
- * agree on who simulates every shared point.
- *
- * Each worker writes its results to a private per-shard cache file
- * (shardCachePath) using the same atomic tmp+rename discipline as
- * the canonical cache; at join, mergeShardCaches() unions the shard
- * files into the canonical file, deduplicating identical rows and
- * failing loudly on conflicting rows for the same key (which would
- * mean a nondeterministic simulator or mismatched sweeps - never
- * something to paper over). Because RunCache serializes sections and
- * rows in sorted order, the merged file is byte-identical to the one
- * a single-process sweep would have written (pinned by
- * tests/test_shard.cc and a CI spot-check).
- *
- * The sweep engine reads MIGC_SHARDS / MIGC_SHARD_INDEX in its
- * default constructor (shardFromEnv), so every existing figure and
- * ablation binary becomes a shard-capable worker with no per-binary
- * changes. bench/migc_sweep is the coordinator: it fork/execs local
- * workers (or emits a manifest for external launchers) and merges at
- * join.
+ * policy). The elastic fleet (fleet.hh, bench/migc_sweep) splits it
+ * across worker processes by lease; each worker writes its results to
+ * a private per-shard cache file (shardCachePath) using the same
+ * atomic tmp+rename discipline as the canonical cache. At join,
+ * mergeShardCaches() unions the shard files into the canonical file,
+ * deduplicating identical rows and failing loudly on conflicting rows
+ * for the same key (which would mean a nondeterministic simulator or
+ * mismatched sweeps - never something to paper over). Because
+ * RunCache serializes sections and rows in sorted order, the merged
+ * file is byte-identical to the one a single-process sweep would
+ * have written (pinned by tests/test_shard.cc, tests/test_fleet.cc,
+ * and a CI spot-check).
  */
 
 #ifndef MIGC_CORE_SHARD_HH
@@ -38,32 +25,14 @@
 #include <string>
 #include <vector>
 
-// parseBoundedUnsigned - the shared validator behind MIGC_SHARDS /
-// MIGC_SHARD_INDEX / MIGC_JOBS and migc_sweep's count flags - lives
-// in sim/env.hh so the sim-layer thread pool can use it too; it is
-// re-exported here because every sharding caller historically reached
-// it through this header.
+// parseBoundedUnsigned - the shared validator behind MIGC_JOBS and
+// migc_sweep's count flags - lives in sim/env.hh so the sim-layer
+// thread pool can use it too; it is re-exported here for the fleet
+// callers that reach it through this header.
 #include "sim/env.hh"
 
 namespace migc
 {
-
-/** Which slice of a sweep grid this process simulates. */
-struct ShardSpec
-{
-    /** Total cooperating processes; 1 = sharding off. */
-    unsigned shards = 1;
-
-    /** This process's index in [0, shards). */
-    unsigned index = 0;
-
-    /** True when the grid is actually split (shards > 1). */
-    bool active() const { return shards > 1; }
-
-    /** Does this shard simulate the given run key? */
-    bool owns(const std::string &sig, const std::string &workload,
-              const std::string &policy) const;
-};
 
 /**
  * Stable 64-bit hash of one run key. Depends only on the three key
@@ -74,18 +43,14 @@ std::uint64_t runKeyHash(const std::string &sig,
                          const std::string &workload,
                          const std::string &policy);
 
-/** The shard in [0, shards) owning the key; shards must be >= 1. */
+/**
+ * The key's slot in [0, shards) under a static hash partition;
+ * shards must be >= 1. Only the fleetStaticMakespan replay model
+ * (fleet.hh) uses it, as the static owner assignment the lease
+ * schedule is compared against.
+ */
 unsigned shardOf(const std::string &sig, const std::string &workload,
                  const std::string &policy, unsigned shards);
-
-/**
- * Shard spec from MIGC_SHARDS / MIGC_SHARD_INDEX. Unset (or
- * MIGC_SHARDS=1) means no sharding. Fatal on malformed values,
- * MIGC_SHARDS > 1 without an index, or an index out of range -
- * silently running the full grid would defeat the point of the
- * worker fleet.
- */
-ShardSpec shardFromEnv();
 
 /** The private cache file for shard @p index of canonical @p base. */
 std::string shardCachePath(const std::string &base, unsigned index);

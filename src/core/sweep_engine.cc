@@ -655,11 +655,6 @@ RunCache::find(const std::string &sig, const std::string &workload,
 const RunMetrics &
 RunCache::insert(const std::string &sig, RunMetrics m)
 {
-    fatal_if(m.placeholder,
-             "refusing to cache a placeholder row for %s/%s: all-zero "
-             "shard stand-ins are not results (engine bug - "
-             "placeholders must never reach RunCache::insert)",
-             m.workload.c_str(), m.policy.c_str());
     checkCacheName("workload", m.workload);
     checkCacheName("policy", m.policy);
     fatal_if(m.workload == "workload",
@@ -763,39 +758,13 @@ gridFingerprint(const std::vector<RunRequest> &requests)
 // SweepEngine
 // ---------------------------------------------------------------------
 
-SweepEngine::SweepEngine()
-    : SweepEngine(sweepCachePathFromEnv(), shardFromEnv())
-{}
+SweepEngine::SweepEngine() : SweepEngine(sweepCachePathFromEnv()) {}
 
 SweepEngine::SweepEngine(std::string cache_path)
-    : SweepEngine(std::move(cache_path), ShardSpec{})
+    : cachePath_(std::move(cache_path))
 {}
 
-SweepEngine::SweepEngine(std::string cache_path, ShardSpec shard)
-    : shard_(shard),
-      cachePath_(shard.active() && !cache_path.empty()
-                     ? shardCachePath(cache_path, shard.index)
-                     : cache_path)
-{
-    if (!shard_.active())
-        return;
-    if (cache_path.empty()) {
-        warn("sharding %u/%u with the cache disabled: this shard's "
-             "results stay in memory and cannot be merged",
-             shard_.index, shard_.shards);
-        return;
-    }
-    // Warm-start from the canonical cache into the read-only side
-    // store: points some earlier sweep already merged replay from
-    // it in every shard instead of being resimulated by their
-    // owner, while the writable shard file stays limited to this
-    // worker's own fresh rows.
-    warm_.mergeFile(cache_path);
-}
-
 SweepEngine::SweepEngine(std::string cache_path, FleetWorkerSpec fleet)
-    // shard_ stays inactive: a fleet worker owns whatever the
-    // coordinator leases it, not a fixed hash slice.
     : cachePath_(cache_path.empty()
                      ? cache_path
                      : shardCachePath(cache_path, fleet.index))
@@ -806,9 +775,10 @@ SweepEngine::SweepEngine(std::string cache_path, FleetWorkerSpec fleet)
              fleet.index);
         return;
     }
-    // Same warm-start as a static shard worker: canonical rows
-    // replay from the read-only side store, the writable shard file
-    // holds only this worker's fresh rows.
+    // Warm-start from the canonical cache into the read-only side
+    // store: points some earlier sweep already merged replay from it
+    // instead of being resimulated, while the writable shard file
+    // stays limited to this worker's own fresh rows.
     warm_.mergeFile(cache_path);
 }
 
@@ -847,24 +817,6 @@ SweepEngine::estimateFor(const std::string &workload,
 
 SweepEngine::~SweepEngine() = default;
 
-const RunMetrics &
-SweepEngine::placeholderFor(const std::string &sig,
-                            const std::string &workload,
-                            const std::string &policy)
-{
-    auto key = std::make_tuple(sig, workload, policy);
-    auto it = placeholders_.find(key);
-    if (it == placeholders_.end()) {
-        RunMetrics m;
-        m.workload = workload;
-        m.policy = policy;
-        m.placeholder = true;
-        it = placeholders_.emplace(std::move(key), std::move(m)).first;
-        skipped_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return it->second;
-}
-
 std::size_t
 SweepEngine::cacheParseErrors() const
 {
@@ -882,13 +834,6 @@ SweepEngine::get(const SimConfig &cfg, const std::string &workload,
         if (const RunMetrics *m = findCached(sig, workload, policy)) {
             hits_.fetch_add(1, std::memory_order_relaxed);
             return *m;
-        }
-        if (!shard_.owns(sig, workload, policy)) {
-            debug_log("shard %u/%u: %s/%s belongs to another shard; "
-                      "returning a zero placeholder row",
-                      shard_.index, shard_.shards, workload.c_str(),
-                      policy.c_str());
-            return placeholderFor(sig, workload, policy);
         }
     }
 
@@ -947,13 +892,10 @@ std::vector<RunMetrics>
 SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
 {
     // Phase 1: split the batch into cached points and missing jobs,
-    // deduplicating repeated grid points. Under an active shard
-    // spec, missing points owned by other shards are skipped here
-    // and answered with placeholder rows in phase 2.
+    // deduplicating repeated grid points.
     std::vector<std::string> sigs;
     sigs.reserve(requests.size());
     std::vector<Job> missing;
-    std::size_t foreign = 0;
     {
         std::lock_guard<std::mutex> lk(mu_);
         std::map<std::tuple<std::string, std::string, std::string>,
@@ -970,24 +912,12 @@ SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
                                        req.policy);
             if (!seen.emplace(std::move(key), true).second)
                 continue;
-            if (!shard_.owns(sigs[i], req.workload, req.policy)) {
-                ++foreign;
-                continue;
-            }
             missing.push_back(Job{&req, sigs[i],
                                   estimateFor(req.workload,
                                               req.policy),
                                   i});
         }
     }
-    if (foreign > 0) {
-        inform("shard %u/%u: %zu missing grid point%s belong%s to "
-               "other shards (skipped; merge the shard caches for a "
-               "complete sweep)",
-               shard_.index, shard_.shards, foreign,
-               foreign == 1 ? "" : "s", foreign == 1 ? "s" : "");
-    }
-
     if (!missing.empty()) {
         // Fill unknown costs from a workload-size heuristic: the
         // simulated footprint is a stable proxy for run length when
@@ -1074,20 +1004,13 @@ SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
                missing.size(), lost, lost == 1 ? "" : "s");
     }
 
-    // Phase 2: every owned request is now cached; answer in request
-    // order (placeholders for points other shards own).
+    // Phase 2: every request is now cached; answer in request order.
     std::vector<RunMetrics> results;
     results.reserve(requests.size());
     std::lock_guard<std::mutex> lk(mu_);
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const RunMetrics *m = findCached(sigs[i], requests[i].workload,
                                          requests[i].policy);
-        if (m == nullptr &&
-            !shard_.owns(sigs[i], requests[i].workload,
-                         requests[i].policy)) {
-            m = &placeholderFor(sigs[i], requests[i].workload,
-                                requests[i].policy);
-        }
         panic_if(m == nullptr, "sweep engine lost a result for %s/%s",
                  requests[i].workload.c_str(),
                  requests[i].policy.c_str());

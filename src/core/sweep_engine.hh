@@ -27,12 +27,12 @@
  *    heap, tag/DBI storage, and DRAM bank state stay warm instead of
  *    being reconstructed per run.
  *
- * A fourth mechanism scales past one process: under an active
- * ShardSpec (MIGC_SHARDS / MIGC_SHARD_INDEX, see shard.hh) the
- * engine simulates only the grid points whose stable key hash lands
- * on its shard, writing them to a private per-shard cache file; a
- * coordinator (bench/migc_sweep) merges the shard files into the
- * canonical cache at join, byte-identical to a single-process sweep.
+ * A fourth mechanism scales past one process: a fleet-worker engine
+ * (FleetWorkerSpec) simulates the grid points a coordinator leases it
+ * (runFleet, fleet.hh), writing them to a private per-shard cache
+ * file; the coordinator (bench/migc_sweep) merges the shard files
+ * into the canonical cache at join, byte-identical to a
+ * single-process sweep (shard.hh).
  */
 
 #ifndef MIGC_CORE_SWEEP_ENGINE_HH
@@ -113,11 +113,10 @@ struct RunRequest
 std::uint64_t gridFingerprint(const std::vector<RunRequest> &requests);
 
 /**
- * Tag selecting SweepEngine's fleet-worker constructor: like a
- * ShardSpec worker it writes fresh rows to the private
- * shardCachePath(cache, index) file and warm-imports the canonical
- * cache, but it owns no fixed slice - the coordinator's leases
- * decide what it runs, so the key-hash filter stays off.
+ * Tag selecting SweepEngine's fleet-worker constructor: the engine
+ * writes fresh rows to the private shardCachePath(cache, index) file
+ * and warm-imports the canonical cache read-only; the coordinator's
+ * leases decide what it runs.
  */
 struct FleetWorkerSpec
 {
@@ -233,7 +232,7 @@ class RunCache
     /**
      * Union another cache file (v4, v3, or legacy v2 - sniffed) into
      * memory without writing anything; rows already held win. This
-     * is how a shard worker warm-starts from the canonical cache and
+     * is how a fleet worker warm-starts from the canonical cache and
      * how the coordinator folds shard files back in (shard.hh). A
      * missing file merges zero rows.
      */
@@ -275,11 +274,9 @@ class RunCache
      * file is checkpointed (appended to) after every
      * checkpoint_interval inserts; call flush() when a sweep
      * finishes. Fatal on rows the cache cannot round-trip:
-     * placeholder rows (all-zero shard stand-ins must never be
-     * persisted as results) and workload/policy names containing v3
-     * metacharacters (',', line breaks, leading '#' - they would
-     * reload as parse errors and the result would be silently lost;
-     * see sim/names.hh).
+     * workload/policy names containing v3 metacharacters (',', line
+     * breaks, leading '#' - they would reload as parse errors and
+     * the result would be silently lost; see sim/names.hh).
      * @return the stored row (stable reference).
      */
     const RunMetrics &insert(const std::string &sig, RunMetrics m);
@@ -447,37 +444,20 @@ class RunCache
 class SweepEngine
 {
   public:
-    /**
-     * Cache path and shard spec from the environment, like the
-     * figure binaries: MIGC_SWEEP_CACHE / MIGC_NO_CACHE select the
-     * cache, MIGC_SHARDS / MIGC_SHARD_INDEX turn the process into
-     * one worker of a multi-process sweep (see shard.hh). This is
-     * what makes every existing binary shard-capable with no
-     * per-binary changes.
-     */
+    /** Cache path from the environment, like the figure binaries:
+     *  MIGC_SWEEP_CACHE / MIGC_NO_CACHE (sweepCachePathFromEnv). */
     SweepEngine();
 
-    /** Explicit cache path (empty disables the on-disk cache); no
-     *  sharding. Tests and library users get hermetic behavior. */
+    /** Explicit cache path (empty disables the on-disk cache). Tests
+     *  and library users get hermetic behavior. */
     explicit SweepEngine(std::string cache_path);
 
     /**
-     * Explicit cache path and shard spec. When the spec is active,
-     * this engine simulates only the grid points its shard owns:
-     * fresh results go to the private shard cache file
-     * (shardCachePath(cache_path, index)), the canonical file is
-     * warm-imported into a read-only side store (served, never
-     * rewritten, so shard files stay small), and requests for
-     * points outside the shard that are not already cached come
-     * back as all-zero placeholder rows (merge the shard caches and
-     * re-run to materialize them).
-     */
-    SweepEngine(std::string cache_path, ShardSpec shard);
-
-    /**
-     * Fleet-worker engine (see FleetWorkerSpec): writes to the
-     * private shard cache of @p fleet.index, warm-imports the
-     * canonical cache, simulates exactly what runFleet() leases.
+     * Fleet-worker engine (see FleetWorkerSpec): fresh results go to
+     * the private shard cache of @p fleet.index, the canonical file
+     * is warm-imported into a read-only side store (served, never
+     * rewritten, so shard files stay small), and runFleet() simulates
+     * exactly what the coordinator leases.
      */
     SweepEngine(std::string cache_path, FleetWorkerSpec fleet);
 
@@ -542,8 +522,8 @@ class SweepEngine
      * answer from memory: the writable cache unioned with the warm
      * side store (writable rows win, matching findCached). Safe for
      * concurrent lock-free queries; stays valid independent of later
-     * engine activity. Placeholder rows are never included. This is
-     * the serving surface of migc_serve (src/serve/).
+     * engine activity. This is the serving surface of migc_serve
+     * (src/serve/).
      */
     std::shared_ptr<const CacheSnapshot> snapshot();
 
@@ -558,14 +538,8 @@ class SweepEngine
     /** Requests answered from the cache without simulating. */
     std::uint64_t cacheHits() const { return hits_.load(); }
 
-    /** Missing grid points skipped because another shard owns them. */
-    std::uint64_t shardSkipped() const { return skipped_.load(); }
-
     /** Unparseable cache rows seen by the underlying RunCache. */
     std::size_t cacheParseErrors() const;
-
-    /** The shard spec this engine runs under. */
-    const ShardSpec &shard() const { return shard_; }
 
   private:
     struct Job
@@ -582,15 +556,6 @@ class SweepEngine
      */
     RunMetrics runJob(const Job &job, std::unique_ptr<System> &sys,
                       std::string &sys_structure);
-
-    /**
-     * All-zero stand-in row for a point owned by another shard
-     * (names filled in, every metric 0). Stable reference; never
-     * written to the cache file. Caller holds mu_.
-     */
-    const RunMetrics &placeholderFor(const std::string &sig,
-                                     const std::string &workload,
-                                     const std::string &policy);
 
     /** Lookup across the writable cache and the warm side store
      *  (writable rows win). Caller holds mu_. */
@@ -614,10 +579,9 @@ class SweepEngine
     RunCache &cache() const;
 
     mutable std::mutex mu_;
-    ShardSpec shard_;
 
-    /** Resolved path cache() opens (shard/fleet workers: their
-     *  private shard file). */
+    /** Resolved path cache() opens (fleet workers: their private
+     *  shard file). */
     std::string cachePath_;
 
     /** See cache(). */
@@ -628,7 +592,7 @@ class SweepEngine
 
     /**
      * Read-only results imported from the canonical cache when this
-     * engine is a shard worker (memory-only: constructed with an
+     * engine is a fleet worker (memory-only: constructed with an
      * empty path, so it never writes). Keeping these out of the
      * writable cache keeps the shard file down to this worker's own
      * fresh rows instead of a full copy of the canonical cache.
@@ -636,12 +600,6 @@ class SweepEngine
     RunCache warm_{std::string()};
     std::atomic<std::uint64_t> sims_{0};
     std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> skipped_{0};
-
-    /** Placeholder rows handed out for other shards' points. */
-    std::map<std::tuple<std::string, std::string, std::string>,
-             RunMetrics>
-        placeholders_;
 };
 
 } // namespace migc

@@ -271,18 +271,7 @@ ServeService::missWorker()
             queue_.pop_front();
         }
         try {
-            const RunMetrics &row =
-                engine_.get(job.cfg, job.workload, job.policy);
-            // The engine only hands back a placeholder under an
-            // active shard spec, which migc_serve refuses to start
-            // under - but a served zero row would silently poison
-            // clients, so check anyway. Builder::add() drops it from
-            // the snapshot; just complain.
-            if (row.placeholder) {
-                warn("miss worker got a placeholder row for %s/%s; "
-                     "not publishing it",
-                     job.workload.c_str(), job.policy.c_str());
-            }
+            engine_.get(job.cfg, job.workload, job.policy);
         } catch (const std::exception &e) {
             warn("simulate-on-miss for %s/%s failed: %s",
                  job.workload.c_str(), job.policy.c_str(), e.what());

@@ -70,12 +70,8 @@ class ServeService
         std::string cachePath;
     };
 
-    /**
-     * Serve @p engine's results. The engine must outlive the
-     * service and must not run under an active shard spec (a shard
-     * worker answers foreign points with placeholders, which this
-     * service exists to never serve - the caller checks).
-     */
+    /** Serve @p engine's results. The engine must outlive the
+     *  service. */
     explicit ServeService(SweepEngine &engine);
     ServeService(SweepEngine &engine, Options opts);
 

@@ -3,11 +3,10 @@
  * Environment-variable and option parsing shared by every layer.
  *
  * parseBoundedUnsigned is the one bounded-unsigned parser behind
- * MIGC_JOBS, MIGC_SHARDS, MIGC_SHARD_INDEX, and migc_sweep's count
- * flags, so validation cannot drift between them: a malformed value
- * is always fatal, never a silent fallback to some default that
- * happens to run (oversubscribing the machine, duplicating another
- * shard's slice, ...).
+ * MIGC_JOBS and migc_sweep's count flags, so validation cannot drift
+ * between them: a malformed value is always fatal, never a silent
+ * fallback to some default that happens to run (oversubscribing the
+ * machine, a fleet of the wrong size, ...).
  */
 
 #ifndef MIGC_SIM_ENV_HH

@@ -26,9 +26,9 @@ namespace migc
 
 /**
  * Worker count for parallel sweeps: MIGC_JOBS, else all cores.
- * A malformed MIGC_JOBS ("abc", "0", "-1") is fatal, matching
- * MIGC_SHARDS / MIGC_SHARD_INDEX: a typo'd job count must not
- * silently fall back to oversubscribing every core. An unset or
+ * A malformed MIGC_JOBS ("abc", "0", "-1") is fatal, like every
+ * count parsed through parseBoundedUnsigned: a typo'd job count must
+ * not silently fall back to oversubscribing every core. An unset or
  * empty variable still means the hardware default.
  */
 inline unsigned

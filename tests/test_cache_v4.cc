@@ -4,15 +4,18 @@
  * determinism, O(fresh) checkpoint appends, torn-write rejection and
  * recovery, format migration (v3/v2 -> v4) with byte-identical CSV
  * export, the zero-copy mapped snapshot's parity with the parsed
- * one, and the mixed-format shard merge fallback. See
+ * one, the mixed-format shard merge fallback, and rejection of a
+ * crafted segment whose layout only adds up modulo 2^64. See
  * src/core/cache_v4.hh and docs/SWEEPS.md.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -120,6 +123,44 @@ simpleRow(const std::string &workload, const std::string &policy,
     m.dramAccesses = seedv + 1.0;
     m.simEvents = seedv * 3 + 1;
     return m;
+}
+
+/** Append @p v little-endian (the v4 byte order on every supported
+ *  host) to @p buf. */
+void
+putU64(std::string &buf, std::uint64_t v)
+{
+    buf.append(reinterpret_cast<const char *>(&v), sizeof(v));
+}
+
+/**
+ * A 96-byte segment whose declared layout only adds up modulo 2^64:
+ * string_count=2, row_count=0, string_bytes=2^64-8, so
+ * header + 2 string ends + string_bytes + footer wraps to exactly
+ * the declared 96 bytes. The footer checksum is valid, and the
+ * second string end aliases it, so the table looks monotone while
+ * its second string starts past the end of the buffer.
+ */
+std::string
+wrappedLayoutSegment()
+{
+    std::string buf(kV4SegMagic, sizeof(kV4SegMagic));
+    const std::uint32_t version = kV4Version;
+    const std::uint32_t endian = kV4EndianTag;
+    buf.append(reinterpret_cast<const char *>(&version), 4);
+    buf.append(reinterpret_cast<const char *>(&endian), 4);
+    putU64(buf, 96);                    // segment bytes
+    putU64(buf, 2);                     // string count
+    putU64(buf, ~std::uint64_t(0) - 7); // string bytes: 2^64-8
+    putU64(buf, 0);                     // row count
+    putU64(buf, 0);                     // reserved
+    putU64(buf, 0);                     // reserved
+    putU64(buf, 16);                    // stringEnds[0]
+    // Footer: checksum (also read as stringEnds[1]), row count, magic.
+    putU64(buf, v4Checksum(buf.data(), buf.size()));
+    putU64(buf, 0);
+    buf.append(kV4EndMagic, sizeof(kV4EndMagic));
+    return buf;
 }
 
 } // namespace
@@ -284,6 +325,42 @@ TEST(CacheV4, CorruptedByteFailsTheChecksum)
     EXPECT_GE(rc.parseErrors(), 1u);
     std::string why;
     EXPECT_EQ(MappedCacheV4::map(path, &why), nullptr);
+    std::remove(path.c_str());
+}
+
+TEST(CacheV4, WrappedLayoutSumIsRejected)
+{
+    const std::string bytes = wrappedLayoutSegment();
+    ASSERT_EQ(bytes.size(), 96u);
+    // The crafted string ends are monotone, so only the layout
+    // arithmetic stands between this segment and a read past the
+    // buffer.
+    std::uint64_t end1 = 0;
+    std::memcpy(&end1, bytes.data() + 72, sizeof(end1));
+    ASSERT_GE(end1, 16u);
+
+    // Exactly-sized heap copy: any read past byte 96 is out of
+    // bounds (and an ASan report).
+    std::vector<std::uint64_t> words(bytes.size() / 8);
+    std::memcpy(words.data(), bytes.data(), bytes.size());
+    V4SegmentView seg;
+    std::string why;
+    EXPECT_FALSE(parseV4Segment(reinterpret_cast<const char *>(
+                                    words.data()),
+                                bytes.size(), seg, &why));
+    EXPECT_FALSE(why.empty());
+
+    const std::string path = tempPath("wrapped");
+    writeFile(path, bytes);
+    RunCache rc{std::string()};
+    RunCache::MergeStats stats = rc.mergeFile(path);
+    EXPECT_EQ(stats.rows, 0u);
+    EXPECT_GE(stats.parseErrors, 1u);
+    EXPECT_EQ(rc.size(), 0u);
+
+    why.clear();
+    EXPECT_EQ(MappedCacheV4::map(path, &why), nullptr);
+    EXPECT_FALSE(why.empty());
     std::remove(path.c_str());
 }
 

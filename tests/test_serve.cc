@@ -4,8 +4,8 @@
  *  the RunCache snapshot/append-log split, the ServeService protocol
  *  (warm hits, simulate-on-miss with exactly-one-enqueue, glob
  *  queries), a concurrent reader/writer torture test, and the fatal
- *  paths for malformed MIGC_JOBS values, cache-unsafe registry
- *  names, and placeholder rows reaching the cache. */
+ *  paths for malformed MIGC_JOBS values and cache-unsafe registry
+ *  names. */
 
 #include <gtest/gtest.h>
 
@@ -176,13 +176,11 @@ TEST(Snapshot, BuildsFirstWinsIndexInCanonicalOrder)
     EXPECT_EQ(snap->match("sig?", "?w*", "*").size(), 3u);
 }
 
-TEST(Snapshot, RefusesPlaceholderAndNullRows)
+TEST(Snapshot, RefusesNullRows)
 {
-    RunMetrics ph = fakeMetrics("FwBN", "CacheR", 0);
-    ph.placeholder = true;
     CacheSnapshot::Builder builder;
-    EXPECT_FALSE(builder.add("sig", &ph));
     EXPECT_FALSE(builder.add("sig", nullptr));
+    EXPECT_FALSE(builder.addSorted("sig", nullptr));
     EXPECT_EQ(builder.build()->rows(), 0u);
     EXPECT_EQ(CacheSnapshot::empty()->rows(), 0u);
 }
@@ -240,16 +238,6 @@ TEST(Snapshot, FindPrefersUnpublishedAppendsOverNothing)
 // ---------------------------------------------------------------------
 // Cache input validation (satellite fixes)
 // ---------------------------------------------------------------------
-
-TEST(CacheValidationDeath, PlaceholderRowsNeverReachTheCache)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    RunMetrics ph = fakeMetrics("FwBN", "CacheR", 0);
-    ph.placeholder = true;
-    RunCache cache{std::string()};
-    EXPECT_EXIT(cache.insert("sig", ph),
-                ::testing::ExitedWithCode(1), "placeholder");
-}
 
 TEST(CacheValidationDeath, MetacharacterNamesAreFatalPerCharacter)
 {
@@ -591,20 +579,24 @@ TEST(ServeService, TortureConcurrentReadersDuringMissInserts)
 
 TEST(EngineSnapshot, UnionsWarmSideStoreWithWritableCache)
 {
-    // A shard worker warm-imports the canonical cache; its snapshot
+    // A fleet worker warm-imports the canonical cache; its snapshot
     // must serve those rows alongside its own fresh ones.
     const auto &expected = expectedRows();
     std::string canonical = tempCachePath("engine_snap");
     std::remove(canonical.c_str());
+    std::vector<RunRequest> grid = smallGrid();
+    const RunRequest fresh = grid.back();
+    grid.pop_back();
     {
         SweepEngine warmup(canonical);
-        warmup.run(smallGrid());
+        warmup.run(grid);
     }
 
-    ShardSpec spec;
-    spec.shards = 2;
-    spec.index = 0;
-    SweepEngine worker(canonical, spec);
+    // Every point but one comes from the warm import; the last is
+    // simulated into the worker's writable shard cache.
+    SweepEngine worker(canonical, FleetWorkerSpec{0});
+    worker.get(fresh.cfg, fresh.workload, fresh.policy);
+    EXPECT_EQ(worker.simulationsPerformed(), 1u);
     auto snap = worker.snapshot();
     EXPECT_EQ(snap->rows(), expected.size());
     std::string sig = SimConfig::testConfig().signature();

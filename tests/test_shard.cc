@@ -1,8 +1,8 @@
-/** @file Tests for the multi-process sharding layer: partition
- *  stability, the env hook every binary inherits, worker slice
- *  isolation, the coordinator merge (bit-identical to a
- *  single-process sweep, loud on conflicts), and placeholder rows
- *  for foreign grid points. */
+/** @file Tests for the multi-process shard layer under the fleet:
+ *  run-key hash and grid fingerprint stability, fleet-worker shard
+ *  files holding only their own fresh rows, and the coordinator
+ *  merge (bit-identical to a single-process sweep, loud on
+ *  conflicts). */
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/report.hh"
 #include "core/shard.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
@@ -122,7 +121,7 @@ fakeMetrics(const std::string &workload, const std::string &policy,
 
 } // namespace
 
-TEST(ShardPartition, HashDependsOnlyOnKeyText)
+TEST(RunKeyHash, DependsOnlyOnKeyText)
 {
     const std::uint64_t h = runKeyHash("sig", "FwSoft", "CacheRW");
     EXPECT_EQ(h, runKeyHash("sig", "FwSoft", "CacheRW"));
@@ -133,139 +132,38 @@ TEST(ShardPartition, HashDependsOnlyOnKeyText)
     EXPECT_NE(h, runKeyHash("", "FwSoft", "CacheRW"));
 }
 
-TEST(ShardPartition, EveryKeyOwnedByExactlyOneShard)
+TEST(RunKeyHash, GridFingerprintStableAcrossProcessConditions)
 {
+    // A coordinator and its workers build the grid independently;
+    // the per-key hashes and the grid fingerprint they exchange must
+    // depend only on the keys - recompute under a different
+    // MIGC_JOBS and in reverse key order and compare.
     const auto grid = smallGrid();
-    for (unsigned shards : {1u, 2u, 3u, 4u, 7u, 16u}) {
-        for (const RunRequest &req : grid) {
-            const std::string sig = req.cfg.signature();
-            unsigned owners = 0;
-            for (unsigned i = 0; i < shards; ++i) {
-                ShardSpec spec{shards, i};
-                if (spec.owns(sig, req.workload, req.policy)) {
-                    ++owners;
-                    EXPECT_EQ(i, shardOf(sig, req.workload, req.policy,
-                                         shards));
-                }
-            }
-            EXPECT_EQ(owners, 1u);
-        }
-    }
-}
-
-TEST(ShardPartition, StableAcrossProcessConditions)
-{
-    // The partition must depend only on the key: recompute under a
-    // different MIGC_JOBS and in reverse key order and compare.
-    const auto grid = smallGrid();
-    std::vector<unsigned> forward;
+    std::vector<std::uint64_t> forward;
+    std::uint64_t fingerprint = 0;
     {
         ScopedEnv jobs("MIGC_JOBS", "1");
         for (const RunRequest &req : grid)
-            forward.push_back(shardOf(req.cfg.signature(), req.workload,
-                                      req.policy, 4));
+            forward.push_back(runKeyHash(req.cfg.signature(),
+                                         req.workload, req.policy));
+        fingerprint = gridFingerprint(grid);
     }
     {
         ScopedEnv jobs("MIGC_JOBS", "16");
         for (std::size_t i = grid.size(); i-- > 0;) {
             EXPECT_EQ(forward[i],
-                      shardOf(grid[i].cfg.signature(),
-                              grid[i].workload, grid[i].policy, 4));
+                      runKeyHash(grid[i].cfg.signature(),
+                                 grid[i].workload, grid[i].policy));
+            // The replay model's static owner is the same hash.
+            EXPECT_EQ(forward[i] % 4,
+                      shardOf(grid[i].cfg.signature(), grid[i].workload,
+                              grid[i].policy, 4));
         }
+        EXPECT_EQ(fingerprint, gridFingerprint(smallGrid()));
     }
 }
 
-TEST(ShardEnv, ParsesAndValidates)
-{
-    {
-        ScopedEnv shards("MIGC_SHARDS", nullptr);
-        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
-        ShardSpec spec = shardFromEnv();
-        EXPECT_FALSE(spec.active());
-        EXPECT_EQ(spec.shards, 1u);
-    }
-    {
-        ScopedEnv shards("MIGC_SHARDS", "4");
-        ScopedEnv index("MIGC_SHARD_INDEX", "2");
-        ShardSpec spec = shardFromEnv();
-        EXPECT_TRUE(spec.active());
-        EXPECT_EQ(spec.shards, 4u);
-        EXPECT_EQ(spec.index, 2u);
-    }
-    {
-        // MIGC_SHARDS=1 is sharding off; an index of 0 is tolerated.
-        ScopedEnv shards("MIGC_SHARDS", "1");
-        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
-        EXPECT_FALSE(shardFromEnv().active());
-    }
-
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    {
-        // An out-of-range or missing index must die, not silently
-        // run the whole grid.
-        ScopedEnv shards("MIGC_SHARDS", "4");
-        ScopedEnv index("MIGC_SHARD_INDEX", "4");
-        EXPECT_EXIT(shardFromEnv(), ::testing::ExitedWithCode(1),
-                    "MIGC_SHARD_INDEX");
-    }
-    {
-        ScopedEnv shards("MIGC_SHARDS", "4");
-        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
-        EXPECT_EXIT(shardFromEnv(), ::testing::ExitedWithCode(1),
-                    "MIGC_SHARD_INDEX");
-    }
-    {
-        ScopedEnv shards("MIGC_SHARDS", "banana");
-        ScopedEnv index("MIGC_SHARD_INDEX", nullptr);
-        EXPECT_EXIT(shardFromEnv(), ::testing::ExitedWithCode(1),
-                    "MIGC_SHARDS");
-    }
-    {
-        // Even with sharding off, an out-of-range index means the
-        // user meant a different fleet size - running the full grid
-        // would silently duplicate every other worker's runs.
-        ScopedEnv shards("MIGC_SHARDS", "1");
-        ScopedEnv index("MIGC_SHARD_INDEX", "7");
-        EXPECT_EXIT(shardFromEnv(), ::testing::ExitedWithCode(1),
-                    "MIGC_SHARD_INDEX");
-    }
-}
-
-TEST(ShardedSweep, WorkersSimulateDisjointSlicesAndPlaceholderTheRest)
-{
-    const std::string base = tempCachePath("slices");
-    removeCacheFamily(base, 4);
-
-    const auto grid = smallGrid();
-    std::uint64_t total_sims = 0;
-    for (unsigned i = 0; i < 4; ++i) {
-        SweepEngine engine(base, ShardSpec{4, i});
-        std::vector<RunMetrics> results = engine.run(grid);
-        total_sims += engine.simulationsPerformed();
-        ASSERT_EQ(results.size(), grid.size());
-        for (std::size_t k = 0; k < grid.size(); ++k) {
-            const std::string sig = grid[k].cfg.signature();
-            const bool owned = ShardSpec{4, i}.owns(
-                sig, grid[k].workload, grid[k].policy);
-            // Owned points carry real metrics; foreign points come
-            // back as labeled all-zero placeholders.
-            EXPECT_EQ(results[k].workload, grid[k].workload);
-            EXPECT_EQ(results[k].policy, grid[k].policy);
-            if (owned)
-                EXPECT_GT(results[k].execTicks, Tick(0));
-            else
-                EXPECT_EQ(results[k].execTicks, Tick(0));
-        }
-        EXPECT_EQ(engine.simulationsPerformed() + engine.shardSkipped(),
-                  grid.size());
-    }
-    // The shards partition the grid: every point simulated exactly
-    // once across the fleet.
-    EXPECT_EQ(total_sims, grid.size());
-    removeCacheFamily(base, 4);
-}
-
-TEST(ShardedSweep, MergedShardCachesAreBitIdenticalToSingleProcess)
+TEST(FleetShards, MergedShardCachesAreBitIdenticalToSingleProcess)
 {
     const std::string solo = tempCachePath("solo");
     const std::string sharded = tempCachePath("sharded");
@@ -277,10 +175,20 @@ TEST(ShardedSweep, MergedShardCachesAreBitIdenticalToSingleProcess)
         SweepEngine engine(solo);
         engine.run(grid);
     }
+    // Four fleet-worker engines, each handed a disjoint round-robin
+    // slice of the grid (standing in for the coordinator's leases):
+    // every point is simulated exactly once across the workers.
+    std::uint64_t total_sims = 0;
     for (unsigned i = 0; i < 4; ++i) {
-        SweepEngine engine(sharded, ShardSpec{4, i});
-        engine.run(grid);
+        std::vector<RunRequest> slice;
+        for (std::size_t k = i; k < grid.size(); k += 4)
+            slice.push_back(grid[k]);
+        SweepEngine engine(sharded, FleetWorkerSpec{i});
+        engine.run(slice);
+        EXPECT_EQ(engine.simulationsPerformed(), slice.size());
+        total_sims += engine.simulationsPerformed();
     }
+    EXPECT_EQ(total_sims, grid.size());
     ShardMergeStats stats = mergeShardCaches(sharded, 4);
     EXPECT_EQ(stats.rows, grid.size());
 
@@ -294,53 +202,24 @@ TEST(ShardedSweep, MergedShardCachesAreBitIdenticalToSingleProcess)
     for (unsigned i = 0; i < 4; ++i)
         EXPECT_FALSE(fileExists(shardCachePath(sharded, i)));
 
-    // The merged canonical cache warm-starts both an unsharded
-    // engine and a sharded worker: neither simulates anything.
+    // The merged canonical cache warm-starts both a plain engine and
+    // a fleet worker: neither simulates anything.
     {
         SweepEngine engine(sharded);
         engine.run(grid);
         EXPECT_EQ(engine.simulationsPerformed(), 0u);
     }
     {
-        SweepEngine engine(sharded, ShardSpec{4, 1});
+        SweepEngine engine(sharded, FleetWorkerSpec{1});
         engine.run(grid);
         EXPECT_EQ(engine.simulationsPerformed(), 0u);
-        EXPECT_EQ(engine.shardSkipped(), 0u);
+        EXPECT_EQ(engine.cacheHits(), grid.size());
     }
     std::remove(solo.c_str());
     removeCacheFamily(sharded, 4);
 }
 
-TEST(ShardedSweep, EnvHookDrivesTheDefaultEngine)
-{
-    // MIGC_SHARDS / MIGC_SHARD_INDEX must reach the default-
-    // constructed engine every figure binary uses - that is the
-    // zero-per-binary-changes contract.
-    const std::string base = tempCachePath("envhook");
-    removeCacheFamily(base, 2);
-    ScopedEnv cache("MIGC_SWEEP_CACHE", base.c_str());
-    ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
-    ScopedEnv shards("MIGC_SHARDS", "2");
-    ScopedEnv index("MIGC_SHARD_INDEX", "1");
-
-    SweepEngine engine;
-    EXPECT_TRUE(engine.shard().active());
-    EXPECT_EQ(engine.shard().shards, 2u);
-    EXPECT_EQ(engine.shard().index, 1u);
-
-    const auto grid = smallGrid();
-    engine.run(grid);
-    engine.flush();
-    EXPECT_LT(engine.simulationsPerformed(), grid.size());
-    EXPECT_EQ(engine.simulationsPerformed() + engine.shardSkipped(),
-              grid.size());
-    // Results land in the private shard file, not the canonical one.
-    EXPECT_FALSE(fileExists(base));
-    EXPECT_TRUE(fileExists(shardCachePath(base, 1)));
-    removeCacheFamily(base, 2);
-}
-
-TEST(ShardedSweep, ShardFilesHoldOnlyFreshRows)
+TEST(FleetShards, ShardFilesHoldOnlyFreshRows)
 {
     // A worker must serve the canonical cache read-only and write
     // only its own new rows to the shard file - otherwise every
@@ -357,11 +236,8 @@ TEST(ShardedSweep, ShardFilesHoldOnlyFreshRows)
     auto extended = grid;
     extended.push_back(
         RunRequest{SimConfig::testConfig(), "FwSoft", "CacheRW-AB"});
-    const std::string new_sig = extended.back().cfg.signature();
-    const unsigned owner =
-        shardOf(new_sig, "FwSoft", "CacheRW-AB", 2);
     {
-        SweepEngine engine(base, ShardSpec{2, owner});
+        SweepEngine engine(base, FleetWorkerSpec{1});
         engine.run(extended);
         // Everything but the new point replays from the canonical
         // warm store.
@@ -372,36 +248,14 @@ TEST(ShardedSweep, ShardFilesHoldOnlyFreshRows)
     // Count rows through RunCache so the check is format-agnostic
     // (the shard file is v4 binary by default, csv under
     // MIGC_CACHE_FORMAT=csv).
-    std::ifstream in(shardCachePath(base, owner), std::ios::binary);
-    ASSERT_TRUE(in);
-    RunCache shard_rows(shardCachePath(base, owner), 8);
+    EXPECT_FALSE(fileExists(shardCachePath(base, 0)));
+    ASSERT_TRUE(fileExists(shardCachePath(base, 1)));
+    RunCache shard_rows(shardCachePath(base, 1), 8);
     EXPECT_EQ(shard_rows.size(), 1u);
+    EXPECT_NE(shard_rows.find(extended.back().cfg.signature(), "FwSoft",
+                              "CacheRW-AB"),
+              nullptr);
     removeCacheFamily(base, 2);
-}
-
-TEST(ShardedSweep, WorkerFigureCsvLandsNextToTheRealOne)
-{
-    // A shard worker's figure is partial (placeholder zeros for
-    // foreign points); exporting it must not clobber a complete
-    // figure CSV in the same directory.
-    const std::string path = ::testing::TempDir() + "migc_fig.csv";
-    const std::string shard_path = shardCachePath(path, 1);
-    std::remove(path.c_str());
-    std::remove(shard_path.c_str());
-
-    FigureData fig;
-    fig.title = "t";
-    fig.valueLabel = "v";
-    fig.workloads = {"FwSoft"};
-    fig.series = {"CacheR"};
-    fig.values = {{1.0}};
-
-    ScopedEnv shards("MIGC_SHARDS", "2");
-    ScopedEnv index("MIGC_SHARD_INDEX", "1");
-    writeFigureCsv(path, fig);
-    EXPECT_FALSE(fileExists(path));
-    EXPECT_TRUE(fileExists(shard_path));
-    std::remove(shard_path.c_str());
 }
 
 TEST(ShardMerge, MissingShardFilesAreSkipped)
