@@ -610,26 +610,25 @@ syntheticRow(const std::string &workload, const std::string &policy,
 }
 
 /** Write the synthetic grid to @p path in @p format (one compact
- *  write: the checkpoint interval is too large to trigger). */
+ *  write of an in-memory cache). */
 void
 writeSyntheticCache(const std::string &path, const SyntheticGrid &g,
                     CacheFormat format)
 {
-    std::remove(path.c_str());
-    RunCache rc(path, 1u << 30, format);
+    RunCache rc{std::string()};
     std::uint64_t salt = 0;
     for (const auto &sig : g.sigs)
         for (const auto &w : g.workloads)
             for (const auto &p : g.policies)
                 rc.insert(sig, syntheticRow(w, p, ++salt));
-    rc.flush();
+    rc.exportFile(path, format);
 }
 
 /**
  * Zero-copy load: map the v4 file and build the serving snapshot
  * (checksum pass included, no row materialization). This is the
  * migc_serve startup path; its counterpart cache_v3_parse below is
- * the same logical load through the text parser.
+ * the same logical load through the one-shot text import.
  */
 BenchResult
 benchCacheV4Load(const std::string &path, const SyntheticGrid &g)
@@ -658,7 +657,7 @@ benchCacheV4Load(const std::string &path, const SyntheticGrid &g)
     return r;
 }
 
-/** The same grid loaded through the v3 text parser. */
+/** The same grid read from v3 text by the `--convert` import. */
 BenchResult
 benchCacheV3Parse(const std::string &path, const SyntheticGrid &g)
 {
@@ -669,7 +668,8 @@ benchCacheV3Parse(const std::string &path, const SyntheticGrid &g)
     std::size_t sink = 0;
     auto t0 = BenchClock::now();
     for (int rep = 0; rep < reps; ++rep) {
-        RunCache rc(path, 1u << 30);
+        RunCache rc{std::string()};
+        importTextCache(path, rc);
         sink += rc.size();
     }
     r.seconds = secondsSince(t0);
@@ -710,14 +710,16 @@ benchWarmReplayV4(const std::string &path, const SyntheticGrid &g)
 
 /**
  * Coordinator join over 4 x 25k-row shard files (plus no canonical
- * cache). In v4 mode this takes the zero-copy k-way merge; the csv
- * variant measures the same join through the general RunCache path.
- * Only the merge itself is timed - re-seeding the consumed input
- * files between reps is setup.
+ * cache). Compacted shards take the zero-copy k-way merge; the
+ * @p fragmented variant leaves each shard as the appended
+ * multi-segment file a worker's checkpoints produce, which the fast
+ * path declines, so it measures the same join through the general
+ * RunCache path. Only the merge itself is timed - re-seeding the
+ * consumed input files between reps is setup.
  */
 BenchResult
 benchShardMerge100k(const std::string &base, const SyntheticGrid &g,
-                    CacheFormat format, const char *name, int reps)
+                    bool fragmented, const char *name, int reps)
 {
     BenchResult r;
     r.name = name;
@@ -733,8 +735,10 @@ benchShardMerge100k(const std::string &base, const SyntheticGrid &g,
         for (unsigned i = 0; i < kShards; ++i) {
             const std::string path = shardCachePath(base, i);
             std::remove(path.c_str());
+            // Fragmented shards checkpoint (append a segment) every
+            // 4096 rows.
             shards.push_back(std::make_unique<RunCache>(
-                path, 1u << 30, format));
+                path, fragmented ? 4096 : 1u << 30));
         }
         std::uint64_t salt = 0;
         std::size_t at = 0;
@@ -744,7 +748,11 @@ benchShardMerge100k(const std::string &base, const SyntheticGrid &g,
                     shards[at++ % kShards]->insert(
                         sig, syntheticRow(w, p, ++salt));
         for (unsigned i = 0; i < kShards; ++i) {
-            shards[i]->flush();
+            // Read the bytes before the cache's destructor compacts.
+            if (fragmented)
+                shards[i]->checkpoint();
+            else
+                shards[i]->flush();
             std::ifstream in(shardCachePath(base, i),
                              std::ios::binary);
             std::stringstream ss;
@@ -919,11 +927,8 @@ main(int argc, char **argv)
     results.push_back(benchSweepWarmReplay());
 
     // Data-plane scenarios: same 100k-row synthetic grid through
-    // both serializations. The merge dispatch reads
-    // MIGC_CACHE_FORMAT, so pin it per scenario and restore.
+    // both serializations.
     {
-        const char *old_fmt = std::getenv("MIGC_CACHE_FORMAT");
-        const std::string saved = old_fmt ? old_fmt : "";
         const SyntheticGrid grid100k = syntheticGrid();
         const std::string v4_path = "BENCH_cache_v4.tmp.bin";
         const std::string v3_path = "BENCH_cache_v3.tmp.csv";
@@ -932,18 +937,12 @@ main(int argc, char **argv)
         results.push_back(benchCacheV4Load(v4_path, grid100k));
         results.push_back(benchCacheV3Parse(v3_path, grid100k));
         results.push_back(benchWarmReplayV4(v4_path, grid100k));
-        ::setenv("MIGC_CACHE_FORMAT", "v4", 1);
         results.push_back(benchShardMerge100k(
-            "BENCH_merge_v4.tmp.bin", grid100k, CacheFormat::v4,
+            "BENCH_merge_v4.tmp.bin", grid100k, /*fragmented=*/false,
             "shard_merge_100k", 5));
-        ::setenv("MIGC_CACHE_FORMAT", "csv", 1);
         results.push_back(benchShardMerge100k(
-            "BENCH_merge_v3.tmp.csv", grid100k, CacheFormat::csv,
-            "shard_merge_100k_csv", 1));
-        if (old_fmt)
-            ::setenv("MIGC_CACHE_FORMAT", saved.c_str(), 1);
-        else
-            ::unsetenv("MIGC_CACHE_FORMAT");
+            "BENCH_merge_frag.tmp.bin", grid100k, /*fragmented=*/true,
+            "shard_merge_100k_fragmented", 1));
         std::remove(v4_path.c_str());
         std::remove(v3_path.c_str());
     }

@@ -23,6 +23,9 @@
  *  - merge: `--shards N --merge` performs just the join - union the
  *    shard files into the canonical cache, dedupe identical rows,
  *    fail loudly on conflicting rows, delete the merged inputs.
+ *  - convert / export: `--convert` rewrites a v3/v2 text cache from
+ *    an older build in place as v4 (the only format a cache reads);
+ *    `--export PATH` writes the cache's rows to PATH as v3 csv text.
  *
  * The grid is workloads x policies on one configuration; results
  * land in the same RunCache namespaces the figure binaries read, so
@@ -73,9 +76,8 @@ struct Options
     unsigned jobs = 0;     // threads per process (0 = MIGC_JOBS)
     bool manifest = false;
     bool merge = false;
-    std::string cacheFormat; // "" = MIGC_CACHE_FORMAT / v4 default
-    bool convert = false;    // rewrite the cache in --cache-format
-    std::string exportPath;  // write a copy there in --cache-format
+    bool convert = false;    // rewrite a text cache in place as v4
+    std::string exportPath;  // write a csv copy there
 
     // Fleet (elastic lease queue) options. Sockets are endpoint
     // specs: unix:<path>, tcp:<host>:<port>, or a bare AF_UNIX path.
@@ -131,15 +133,12 @@ usage(const char *argv0)
         "                         commands, then exit\n"
         "  --merge                merge <cache>.shard* into <cache>\n"
         "                         and exit\n"
-        "  --cache-format v4|csv  cache serialization this process\n"
-        "                         (and its forked workers) writes:\n"
-        "                         v4 binary columnar (default) or the\n"
-        "                         v3 csv text; reads always sniff\n"
-        "  --convert              rewrite <cache> in --cache-format\n"
-        "                         and exit (v4 <-> csv migration)\n"
-        "  --export PATH          write a copy of <cache> to PATH in\n"
-        "                         --cache-format and exit (the\n"
-        "                         original is untouched)\n"
+        "  --convert              rewrite a v3/v2 text <cache> from\n"
+        "                         an older build in place as v4 (the\n"
+        "                         only format caches read) and exit\n"
+        "  --export PATH          write a copy of <cache> to PATH as\n"
+        "                         v3 csv text and exit (the original\n"
+        "                         is untouched)\n"
         "  --jobs J               worker threads per process\n"
         "  --slow-worker I:MS     testing: fork worker I with an MS ms\n"
         "                         sleep after every run (straggler)\n"
@@ -238,13 +237,6 @@ parseArgs(int argc, char **argv)
             opt.manifest = true;
         } else if (arg == "--merge") {
             opt.merge = true;
-        } else if (arg == "--cache-format") {
-            opt.cacheFormat = need(i++);
-            fatal_if(opt.cacheFormat != "v4" &&
-                         opt.cacheFormat != "csv" &&
-                         opt.cacheFormat != "v3",
-                     "--cache-format %s: expected v4 or csv",
-                     opt.cacheFormat.c_str());
         } else if (arg == "--convert") {
             opt.convert = true;
         } else if (arg == "--export") {
@@ -366,12 +358,6 @@ workerArgs(const std::string &argv0, const Options &opt,
     if (!opt.policies.empty()) {
         args.push_back("--policies");
         args.push_back(joinStrings(opt.policies, ","));
-    }
-    if (!opt.cacheFormat.empty()) {
-        // The env var also propagates across fork, but the manifest
-        // prints these lines for copy-paste from a fresh shell.
-        args.push_back("--cache-format");
-        args.push_back(opt.cacheFormat);
     }
     if (opt.jobs > 0) {
         args.push_back("--jobs");
@@ -684,13 +670,6 @@ main(int argc, char **argv)
 {
     const Options opt = parseArgs(argc, argv);
 
-    // Resolve --cache-format by publishing it as MIGC_CACHE_FORMAT
-    // before the first RunCache exists: one source of truth for this
-    // process's caches AND the forked fleet workers' (environments
-    // survive fork/exec, so the whole fleet writes one format).
-    if (!opt.cacheFormat.empty())
-        ::setenv("MIGC_CACHE_FORMAT", opt.cacheFormat.c_str(), 1);
-
     const std::string cache = resolveCachePath(opt);
     fatal_if(cache.empty() &&
                  (opt.shards > 0 || !opt.fleetSocket.empty()),
@@ -701,15 +680,25 @@ main(int argc, char **argv)
         fatal_if(cache.empty(),
                  "--convert/--export need a cache file (unset "
                  "MIGC_NO_CACHE or pass --cache)");
-        RunCache rc(cache); // sniffs whatever format is on disk
-        const CacheFormat fmt = cacheFormatFromEnv();
-        const std::string dest =
-            opt.exportPath.empty() ? cache : opt.exportPath;
-        fatal_if(!rc.exportFile(dest, fmt),
-                 "could not write %s", dest.c_str());
-        std::printf("wrote %s as %s (%zu rows; source format %s)\n",
-                    dest.c_str(), cacheFormatName(fmt), rc.size(),
-                    rc.loadedFormatName());
+        if (opt.convert) {
+            // Parse the text into memory only, then replace the file
+            // with its v4 serialization (tmp+rename).
+            RunCache text{std::string()};
+            const RunCache::MergeStats st = importTextCache(cache, text);
+            fatal_if(!text.exportFile(cache, CacheFormat::v4),
+                     "could not write %s", cache.c_str());
+            std::printf("converted %s to v4 (%zu rows; %zu duplicates, "
+                        "%zu conflicts, %zu parse errors)\n",
+                        cache.c_str(), text.size(), st.duplicates,
+                        st.conflicts, st.parseErrors);
+        }
+        if (!opt.exportPath.empty()) {
+            RunCache rc(cache);
+            fatal_if(!rc.exportFile(opt.exportPath, CacheFormat::csv),
+                     "could not write %s", opt.exportPath.c_str());
+            std::printf("wrote %s as csv (%zu rows)\n",
+                        opt.exportPath.c_str(), rc.size());
+        }
         return 0;
     }
 
@@ -748,10 +737,6 @@ main(int argc, char **argv)
         if (!opt.policies.empty()) {
             coord.push_back("--policies");
             coord.push_back(joinStrings(opt.policies, ","));
-        }
-        if (!opt.cacheFormat.empty()) {
-            coord.push_back("--cache-format");
-            coord.push_back(opt.cacheFormat);
         }
         if (opt.resume)
             coord.push_back("--resume");

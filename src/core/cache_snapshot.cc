@@ -73,25 +73,6 @@ CacheSnapshot::find(const std::string &sig, const std::string &workload,
     return rit == sit->second.end() ? nullptr : rit->second;
 }
 
-std::vector<const RunMetrics *>
-CacheSnapshot::match(const std::string &sig_pattern,
-                     const std::string &workload_pattern,
-                     const std::string &policy_pattern) const
-{
-    std::vector<const RunMetrics *> out;
-    for (const auto &[sig, section] : sections_) {
-        if (!globMatch(sig_pattern, sig))
-            continue;
-        for (const auto &[key, row] : section) {
-            if (globMatch(workload_pattern, key.first) &&
-                globMatch(policy_pattern, key.second)) {
-                out.push_back(row);
-            }
-        }
-    }
-    return out;
-}
-
 bool
 CacheSnapshot::findCsv(const std::string &sig,
                        const std::string &workload,
@@ -279,7 +260,7 @@ CacheSnapshot::Builder::build()
 {
     // Drop sections that ended up empty (a section key learned from
     // a "# config" line with no parseable rows) so serialization and
-    // match() never see hollow sections.
+    // matchCsv() never see hollow sections.
     for (auto it = sections_.begin(); it != sections_.end();) {
         if (it->second.empty())
             it = sections_.erase(it);

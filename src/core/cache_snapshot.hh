@@ -20,8 +20,8 @@
  * glob evaluation once per distinct interned string (instead of once
  * per row) before any row is touched. Only the serialization-level
  * API (findCsv / matchCsv / rows / sectionCount / estimateEvents)
- * works on a mapped snapshot; the pointer-returning find()/match()
- * and sections() are materialized-only, because a mapped snapshot
+ * works on a mapped snapshot; the pointer-returning find() and
+ * sections() are materialized-only, because a mapped snapshot
  * has no RunMetrics objects to point at. This is how migc_serve
  * starts serving by mapping the cache instead of parsing it.
  *
@@ -80,7 +80,7 @@ class CacheSnapshot
      * Zero-copy snapshot over a mapped v4 cache file: no rows are
      * materialized, queries answer straight from the interned
      * columns. Serialization-level queries only (see the file
-     * comment); find()/match()/sections() on the result are empty.
+     * comment); find()/sections() on the result are empty.
      */
     static std::shared_ptr<const CacheSnapshot>
     fromMappedFile(std::shared_ptr<const MappedCacheV4> file);
@@ -95,18 +95,6 @@ class CacheSnapshot
                            const std::string &policy) const;
 
     /**
-     * All rows whose (signature, workload, policy) match the three
-     * glob patterns, in canonical order (sorted by signature, then
-     * workload, then policy - the cache-file serialization order, so
-     * pattern answers are byte-stable across runs). Materialized
-     * snapshots only: empty on a mapped snapshot.
-     */
-    std::vector<const RunMetrics *>
-    match(const std::string &sig_pattern,
-          const std::string &workload_pattern,
-          const std::string &policy_pattern) const;
-
-    /**
      * Serialization-level exact lookup, valid on both
      * representations: on a hit, appends the row's CSV line (no
      * trailing newline) to @p out and returns true. A mapped
@@ -119,7 +107,9 @@ class CacheSnapshot
     /**
      * Serialization-level glob query, valid on both representations:
      * appends one '\n'-terminated CSV line per matching row to
-     * @p out, canonical order, and returns the match count. A mapped
+     * @p out in canonical order (signature, then workload, then
+     * policy - the cache-file serialization order, so answers are
+     * byte-stable across runs), and returns the match count. A mapped
      * snapshot evaluates each glob once per distinct interned string
      * (signatures per section, workload/policy over the string
      * table) and only then scans the key column - the prefilter that

@@ -155,9 +155,9 @@ std::size_t v4SegmentCount(const std::string &path);
  * A whole v4 cache file mapped read-only - the zero-copy base of a
  * mapped CacheSnapshot (cache_snapshot.hh). Mapping succeeds only
  * for a clean single-segment (i.e. compacted) file whose checksum
- * verifies; anything else - text formats, multi-segment files with
- * pending appends, torn tails - must go through RunCache's parsing
- * loader instead. The mapping lives until the last shared_ptr drops.
+ * verifies; anything else - multi-segment files with pending
+ * appends, torn tails - must go through RunCache's parsing loader
+ * instead. The mapping lives until the last shared_ptr drops.
  */
 class MappedCacheV4
 {

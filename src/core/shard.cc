@@ -54,8 +54,9 @@ fileSize(const std::string &path)
  * anything is written or removed.
  *
  * @return false (having written nothing) when any input disqualifies
- * the fast path - text formats, appended multi-segment files, torn
- * tails - so the caller falls back to the general RunCache merge.
+ * the fast path - appended multi-segment files, torn tails, non-v4
+ * bytes - so the caller falls back to the general RunCache merge
+ * (which refuses non-v4 input loudly).
  */
 bool
 mergeShardCachesV4(const std::string &base, unsigned shards,
@@ -240,11 +241,10 @@ mergeShardCaches(const std::string &base, unsigned shards)
              "(MIGC_NO_CACHE sweeps leave nothing to merge)");
     fatal_if(shards < 1, "cannot merge zero shards");
 
-    // Zero-copy k-way fast path: all-v4 inputs merge over their
+    // Zero-copy k-way fast path: compacted inputs merge over their
     // mapped sorted key columns without parsing a row (falls through
-    // to the general path on any non-v4 / fragmented / damaged
-    // input, or when the configured write format is not v4).
-    if (cacheFormatFromEnv() == CacheFormat::v4) {
+    // to the general path on any fragmented or damaged input).
+    {
         ShardMergeStats fast;
         if (mergeShardCachesV4(base, shards, fast))
             return fast;

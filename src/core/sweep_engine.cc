@@ -142,41 +142,14 @@ sweepCachePathFromEnv()
     return path ? path : "mi_sweep_cache.csv";
 }
 
-CacheFormat
-cacheFormatFromEnv()
-{
-    const char *v = std::getenv("MIGC_CACHE_FORMAT");
-    if (v == nullptr || v[0] == '\0' || std::strcmp(v, "v4") == 0)
-        return CacheFormat::v4;
-    if (std::strcmp(v, "csv") == 0 || std::strcmp(v, "v3") == 0)
-        return CacheFormat::csv;
-    fatal("MIGC_CACHE_FORMAT must be \"v4\" or \"csv\" (alias "
-          "\"v3\"), not \"%s\"",
-          v);
-    return CacheFormat::v4; // unreachable
-}
-
-const char *
-cacheFormatName(CacheFormat format)
-{
-    return format == CacheFormat::v4 ? "v4" : "csv";
-}
-
 // ---------------------------------------------------------------------
 // RunCache
 // ---------------------------------------------------------------------
 
 RunCache::RunCache(std::string path, std::size_t checkpoint_interval)
-    : RunCache(std::move(path), checkpoint_interval,
-               cacheFormatFromEnv())
-{}
-
-RunCache::RunCache(std::string path, std::size_t checkpoint_interval,
-                   CacheFormat format)
     : path_(std::move(path)),
       checkpointInterval_(checkpoint_interval > 0 ? checkpoint_interval
                                                   : 1),
-      format_(format),
       log_(std::make_shared<std::deque<RunMetrics>>()),
       base_(CacheSnapshot::empty())
 {
@@ -184,152 +157,38 @@ RunCache::RunCache(std::string path, std::size_t checkpoint_interval,
         load();
 }
 
+RunCache::RunCache(std::string path, std::size_t checkpoint_interval,
+                   CacheFormat format)
+    : RunCache(std::move(path), checkpoint_interval)
+{
+    fatal_if(format != CacheFormat::v4,
+             "a RunCache reads and writes only v4; csv is an "
+             "exportFile() target");
+}
+
 RunCache::~RunCache()
 {
     flush();
 }
 
-void
-RunCache::noteLoadedFormat(const char *format)
-{
-    if (loadedFormat_ == nullptr)
-        loadedFormat_ = format;
-}
-
 const char *
 RunCache::loadedFormatName() const
 {
-    return loadedFormat_ != nullptr ? loadedFormat_ : "none";
+    return loadedFile_ ? "v4" : "none";
 }
 
 RunCache::MergeStats
 RunCache::mergeFromFile(const std::string &path,
                         bool classify_collisions)
 {
-    // Sniff the first 8 bytes: the v4 magic never begins a v3/v2
-    // text file (those start with '#'), so the dispatch is exact.
-    char magic[sizeof(kV4SegMagic)];
-    std::size_t got = 0;
-    {
-        std::FILE *probe = std::fopen(path.c_str(), "rb");
-        if (probe == nullptr) {
-            if (path == path_)
-                fileState_ = FileState::absent;
-            return {};
-        }
-        got = std::fread(magic, 1, sizeof(magic), probe);
-        std::fclose(probe);
-    }
-    if (got == sizeof(magic) && isV4Magic(magic))
-        return mergeV4File(path, classify_collisions);
-    return mergeTextFile(path, classify_collisions);
-}
-
-RunCache::MergeStats
-RunCache::mergeTextFile(const std::string &path,
-                        bool classify_collisions)
-{
     MergeStats stats;
-    std::ifstream in(path);
-    if (!in) {
-        if (path == path_)
+    const bool own = path == path_;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr) {
+        if (own)
             fileState_ = FileState::absent;
         return stats;
     }
-    std::string line;
-    // Scan past blank lines for the format tag; running out of lines
-    // first means the file is empty. A zero-length shard file is a
-    // legitimate empty cache, not a corrupt one - a fleet worker
-    // SIGKILL'd before its first checkpoint can leave one behind,
-    // and its slice must merge as zero rows: no parse error, no
-    // format warning, nothing for the coordinator join to trip on.
-    for (;;) {
-        if (!std::getline(in, line)) {
-            if (path == path_)
-                fileState_ = FileState::absent;
-            return stats;
-        }
-        if (!line.empty() && line != "\r")
-            break;
-    }
-
-    const bool durable = path == path_;
-    std::string sig;
-    bool in_section = false;
-    if (line == kCacheTagV3) {
-        // Sections follow; rows before the first "# config" line
-        // (there should be none) are ignored.
-        if (path == path_) {
-            noteLoadedFormat("v3");
-            fileState_ = FileState::cleanV3;
-        }
-    } else if (startsWith(line, kCacheTagV2)) {
-        // Whole legacy file becomes one preserved-but-unserved
-        // section under its old-format signature (see kCacheTagV2).
-        sig = line.substr(std::strlen(kCacheTagV2));
-        in_section = true;
-        if (path == path_) {
-            noteLoadedFormat("v2");
-            fileState_ = FileState::other;
-        }
-    } else {
-        warn("ignoring sweep cache %s: unrecognized format tag",
-             path.c_str());
-        if (path == path_) {
-            noteLoadedFormat("foreign");
-            fileState_ = FileState::other;
-        }
-        return stats;
-    }
-
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        if (startsWith(line, kSectionTag)) {
-            sig = line.substr(std::strlen(kSectionTag));
-            in_section = true;
-            continue;
-        }
-        if (line[0] == '#' || startsWith(line, "workload,"))
-            continue; // comment / csv header
-        RunMetrics m;
-        if (in_section && RunMetrics::fromCsv(line, m)) {
-            // Rows already in memory win; for a key both sides hold,
-            // determinism says the values must be identical, so an
-            // actual difference is worth counting (and, for a
-            // coordinator merge, fatal - see mergeShardCaches). The
-            // collision cases are rare, so rows only re-serialize
-            // for comparison when the key already exists.
-            const RunMetrics *held = find(sig, m.workload, m.policy);
-            if (held == nullptr) {
-                appendRow(sig, std::move(m), durable);
-                ++stats.rows;
-            } else if (!classify_collisions) {
-                ++stats.duplicates;
-            } else if (held->toCsv() == m.toCsv()) {
-                ++stats.duplicates;
-            } else {
-                ++stats.conflicts;
-            }
-        } else if (badLines_.insert(path + '\n' + line).second) {
-            // Each damaged line counts once per source file: a later
-            // checkpoint save re-reading the same file dedupes, but
-            // the same damaged text in two different shard files is
-            // two lost rows.
-            ++stats.parseErrors;
-            ++parseErrors_;
-        }
-    }
-    return stats;
-}
-
-RunCache::MergeStats
-RunCache::mergeV4File(const std::string &path, bool classify_collisions)
-{
-    MergeStats stats;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return stats;
     std::fseek(f, 0, SEEK_END);
     const long flen = std::ftell(f);
     std::fseek(f, 0, SEEK_SET);
@@ -344,7 +203,25 @@ RunCache::mergeV4File(const std::string &path, bool classify_collisions)
     std::fclose(f);
     const char *buf = reinterpret_cast<const char *>(words.data());
 
-    const bool durable = path == path_;
+    // A zero-length file is a legitimate empty cache, not a corrupt
+    // one - a fleet worker SIGKILL'd before its first checkpoint can
+    // leave one behind, and its slice must merge as zero rows.
+    if (got == 0) {
+        if (own)
+            fileState_ = FileState::absent;
+        return stats;
+    }
+    // Every v4 file starts with a segment magic (the first write is
+    // always a whole tmp+rename segment), so anything else is a text
+    // cache from an older build or not a cache at all. Refuse it
+    // before any write could replace it.
+    fatal_if(got < sizeof(kV4SegMagic) || !isV4Magic(buf),
+             "sweep cache %s is not a v4 cache (a v3/v2 text cache or "
+             "an unrecognized file); it was left untouched. Convert a "
+             "text cache once with `migc_sweep --cache %s --convert`",
+             path.c_str(), path.c_str());
+
+    const bool durable = own;
     bool damaged = false;
     std::size_t off = 0;
     while (off < got) {
@@ -353,8 +230,8 @@ RunCache::mergeV4File(const std::string &path, bool classify_collisions)
         if (!parseV4Segment(buf + off, got - off, seg, &why)) {
             damaged = true;
             // The damaged tail counts as one parse error, deduped
-            // per (file, offset, reason) like bad text lines so a
-            // checkpoint's re-read does not recount it.
+            // per (file, offset, reason) so a checkpoint's re-read
+            // does not recount it.
             const std::string key =
                 path + '\n' +
                 csprintf("segment@%zu:%s", off, why.c_str());
@@ -371,14 +248,12 @@ RunCache::mergeV4File(const std::string &path, bool classify_collisions)
         mergeV4Segment(seg, classify_collisions, durable, stats);
         off += seg.bytes;
     }
-    if (path == path_) {
-        noteLoadedFormat("v4");
+    if (own) {
         // A damaged tail must not take appends: a fresh segment
         // after garbage would be unreachable (readers stop at the
         // first damaged segment), so the next durable write compacts
         // instead.
-        fileState_ =
-            damaged ? FileState::other : FileState::cleanV4;
+        fileState_ = damaged ? FileState::damaged : FileState::clean;
     }
     return stats;
 }
@@ -446,9 +321,8 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
         } else if (!classify_collisions) {
             ++stats.duplicates;
         } else {
-            // Same dup/conflict test as the text reader: compare the
-            // serialized forms, so v3-loaded and v4-loaded copies of
-            // one row always classify as duplicates.
+            // Compare the serialized forms, the same dup/conflict
+            // test as the text import and the k-way shard merge.
             RunMetrics m;
             m.workload = wl;
             m.policy = pol;
@@ -491,6 +365,7 @@ void
 RunCache::load()
 {
     mergeFile(path_);
+    loadedFile_ = fileState_ != FileState::absent;
 }
 
 bool
@@ -516,26 +391,29 @@ RunCache::save()
     // so one sorted index covers everything; the snapshot's
     // canonical section/row order is the file's serialization order.
     std::shared_ptr<const CacheSnapshot> snap = snapshot();
-    if (!writeSnapshotTo(path_, *snap, format_))
+    if (!writeSnapshotTo(path_, *snap, CacheFormat::v4))
         return false;
     pendingAppend_.clear();
     appendedSinceCompact_ = false;
-    fileState_ = format_ == CacheFormat::v4 ? FileState::cleanV4
-                                            : FileState::cleanV3;
+    fileState_ = FileState::clean;
     return true;
 }
 
 bool
 RunCache::exportFile(const std::string &path, CacheFormat format)
 {
+    const bool own = enabled() && path == path_;
+    fatal_if(own && format != CacheFormat::v4,
+             "refusing to overwrite sweep cache %s with csv text (a "
+             "RunCache reads only v4); export to another path",
+             path.c_str());
     if (!writeSnapshotTo(path, *snapshot(), format))
         return false;
-    if (path == path_) {
+    if (own) {
         // The export just compacted our own file.
         pendingAppend_.clear();
         appendedSinceCompact_ = false;
-        fileState_ = format == CacheFormat::v4 ? FileState::cleanV4
-                                               : FileState::cleanV3;
+        fileState_ = FileState::clean;
     }
     return true;
 }
@@ -543,56 +421,21 @@ RunCache::exportFile(const std::string &path, CacheFormat format)
 bool
 RunCache::appendPending()
 {
-    // Canonical order *within* the chunk keeps an appended v4
-    // segment binary-searchable and a csv chunk tidy; order across
-    // chunks is the file's append history, and the next compaction
-    // restores the one global canonical order.
-    std::vector<const std::pair<std::string, const RunMetrics *> *>
-        rows;
-    rows.reserve(pendingAppend_.size());
-    for (const auto &entry : pendingAppend_)
-        rows.push_back(&entry);
-    std::sort(rows.begin(), rows.end(),
-              [](const auto *a, const auto *b) {
-                  return std::tie(a->first, a->second->workload,
-                                  a->second->policy) <
-                         std::tie(b->first, b->second->workload,
-                                  b->second->policy);
+    // Canonical order *within* the segment keeps it binary-
+    // searchable (buildV4Segment requires it); order across segments
+    // is the file's append history, and the next compaction restores
+    // the one global canonical order.
+    std::vector<V4RowRef> refs;
+    refs.reserve(pendingAppend_.size());
+    for (const auto &[sig, row] : pendingAppend_)
+        refs.push_back(
+            V4RowRef{sig, row->workload, row->policy, packV4Row(*row)});
+    std::sort(refs.begin(), refs.end(),
+              [](const V4RowRef &a, const V4RowRef &b) {
+                  return std::tie(a.sig, a.workload, a.policy) <
+                         std::tie(b.sig, b.workload, b.policy);
               });
-
-    std::string chunk;
-    if (format_ == CacheFormat::v4) {
-        std::vector<V4RowRef> refs;
-        refs.reserve(rows.size());
-        for (const auto *entry : rows) {
-            refs.push_back(V4RowRef{entry->first,
-                                    entry->second->workload,
-                                    entry->second->policy,
-                                    packV4Row(*entry->second)});
-        }
-        chunk = buildV4Segment(refs);
-    } else {
-        // The leading newline terminates any torn partial line a
-        // crashed writer left at the tail, so this chunk's rows
-        // always start at a line boundary; readers skip the blank
-        // line it normally produces.
-        chunk = "\n";
-        std::string_view last_sig;
-        bool have_sig = false;
-        for (const auto *entry : rows) {
-            if (!have_sig || entry->first != last_sig) {
-                chunk += kSectionTag;
-                chunk += entry->first;
-                chunk += '\n';
-                chunk += RunMetrics::csvHeader();
-                chunk += '\n';
-                last_sig = entry->first;
-                have_sig = true;
-            }
-            chunk += entry->second->toCsv();
-            chunk += '\n';
-        }
-    }
+    const std::string chunk = buildV4Segment(refs);
 
     std::FILE *f = std::fopen(path_.c_str(), "ab");
     if (f == nullptr)
@@ -613,17 +456,13 @@ RunCache::checkpoint()
     unsaved_ = 0;
     if (!enabled() || pendingAppend_.empty())
         return;
-    const bool appendable =
-        (format_ == CacheFormat::v4 &&
-         fileState_ == FileState::cleanV4) ||
-        (format_ == CacheFormat::csv &&
-         fileState_ == FileState::cleanV3);
+    const bool appendable = fileState_ == FileState::clean;
     if (appendable && appendPending())
         return;
     if (appendable) {
         // The append failed partway; the tail is suspect, so only a
         // compacting rewrite may touch the file from here on.
-        fileState_ = FileState::other;
+        fileState_ = FileState::damaged;
     }
     save();
 }
@@ -737,6 +576,76 @@ RunCache::size() const
     for (const auto &[sig, section] : fresh_)
         n += section.size();
     return n;
+}
+
+RunCache::MergeStats
+importTextCache(const std::string &path, RunCache &into)
+{
+    RunCache::MergeStats stats;
+    std::ifstream in(path, std::ios::binary);
+    fatal_if(!in, "cannot read text cache %s", path.c_str());
+    std::string line;
+    // Scan past blank lines for the format tag; running out of lines
+    // first means the file is empty.
+    for (;;) {
+        if (!std::getline(in, line))
+            return stats;
+        if (!line.empty() && line != "\r")
+            break;
+    }
+
+    std::string sig;
+    bool in_section = false;
+    if (startsWith(line, kCacheTagV2)) {
+        // Whole legacy file becomes one preserved-but-unserved
+        // section under its old-format signature (see kCacheTagV2).
+        sig = line.substr(std::strlen(kCacheTagV2));
+        in_section = true;
+    } else {
+        fatal_if(line.size() >= sizeof(kV4SegMagic) &&
+                     isV4Magic(line.data()),
+                 "%s is already a v4 cache; nothing to convert",
+                 path.c_str());
+        fatal_if(line != kCacheTagV3,
+                 "%s is not a v3/v2 text cache (no format tag on its "
+                 "first line)",
+                 path.c_str());
+        // Sections follow; rows before the first "# config" line
+        // (there should be none) are ignored.
+    }
+
+    while (std::getline(in, line)) {
+        if (line.empty())
+            continue;
+        if (startsWith(line, kSectionTag)) {
+            sig = line.substr(std::strlen(kSectionTag));
+            in_section = true;
+            continue;
+        }
+        if (line[0] == '#' || startsWith(line, "workload,"))
+            continue; // comment / csv header
+        RunMetrics m;
+        // Names the cache could not key (empty, padded) are damage
+        // too: insert() would refuse them.
+        if (!in_section || !RunMetrics::fromCsv(line, m) ||
+            !cacheNameSafe(m.workload) || !cacheNameSafe(m.policy)) {
+            ++stats.parseErrors;
+            continue;
+        }
+        // Rows already held win; for a key both sides hold,
+        // determinism says the values must be identical, so an
+        // actual difference is worth counting.
+        const RunMetrics *held = into.find(sig, m.workload, m.policy);
+        if (held == nullptr) {
+            into.insert(sig, std::move(m));
+            ++stats.rows;
+        } else if (held->toCsv() == m.toCsv()) {
+            ++stats.duplicates;
+        } else {
+            ++stats.conflicts;
+        }
+    }
+    return stats;
 }
 
 std::uint64_t

@@ -71,28 +71,22 @@ class FleetClient;
 std::string sweepCachePathFromEnv();
 
 /**
- * On-disk serialization a RunCache writes. Reading always sniffs the
- * file (v4 magic / v3 tag / legacy v2 tag), so any cache loads under
- * either setting; the format only decides what saves produce.
+ * The two serializations of a row set. RunCache reads, writes,
+ * appends and merges only v4; csv exists solely as an exportFile()
+ * target.
  *
  *  - v4: binary columnar segments (cache_v4.hh) - interned sorted
  *    keys, fixed-width metric columns, checksummed footers, mmap'd
- *    zero-copy serving, O(fresh) checkpoint appends. The default.
+ *    zero-copy serving, O(fresh) checkpoint appends.
  *  - csv: the v3 text format, byte-identical to what pre-v4 builds
- *    wrote - for diffing, grep, and foreign tooling.
+ *    wrote - for diffing, grep, and foreign tooling
+ *    (`migc_sweep --export`).
  */
 enum class CacheFormat
 {
     v4,
     csv,
 };
-
-/** MIGC_CACHE_FORMAT: "v4" (default) or "csv" ("v3" accepted as an
- *  alias); anything else is fatal. */
-CacheFormat cacheFormatFromEnv();
-
-/** "v4" / "csv" for messages and manifests. */
-const char *cacheFormatName(CacheFormat format);
 
 /** One grid point: run @p workload under @p policy on @p cfg. */
 struct RunRequest
@@ -128,41 +122,30 @@ struct FleetWorkerSpec
 /**
  * Multi-config on-disk result store.
  *
- * On disk the cache is either a v4 binary columnar file
- * (cache_v4.hh) or a v3 text file of one section per configuration
- * signature:
- *
- *   # migc-sweep-v3
- *   # config <signature>
- *   <csv header>
- *   <RunMetrics rows>
- *   # config <signature'>
- *   ...
- *
- * Reads sniff the format, so v3 and legacy v2 files load
- * transparently no matter what CacheFormat this cache writes, and a
- * save migrates the file. Sections whose signature belongs to some
- * other configuration are preserved across save cycles, so binaries
- * with different configs can share one cache path without clobbering
- * each other. Legacy single-config v2 files import as one such
- * foreign section: their rows are preserved, but never served,
- * because the old signature format aliased structurally different
- * configs (see kCacheTagV2 in sweep_engine.cc).
+ * On disk the cache is a v4 binary columnar file (cache_v4.hh)
+ * holding rows for any number of configuration signatures. Rows of
+ * signatures that belong to some other configuration are preserved
+ * across save cycles, so binaries with different configs can share
+ * one cache path without clobbering each other. v4 is the only
+ * format a RunCache reads: a non-empty file that is not v4 (a v3/v2
+ * text cache from an older build, or anything unrecognized) is
+ * refused with a fatal error naming `migc_sweep --convert`, the
+ * one-shot text import (importTextCache), and is left untouched. A
+ * missing or zero-length file is an empty cache.
  *
  * Durability is two-tier. checkpoint() appends only the rows
- * inserted since the last durable write - one small segment (v4) or
- * section chunk (csv) at the end of the file, O(fresh) bytes, which
- * is what the amortized insert checkpointing and the fleet's
- * checkpoint-before-done contract use; a sweep writing N rows costs
- * O(N) total bytes instead of the O(N^2) of rewriting the file at
- * every checkpoint. flush()/saveNow() compact: one canonical sorted
- * rewrite via tmp+rename, so the *final* file bytes are a pure
- * function of the row set - identical across job counts, steal
- * schedules, and crash/resume histories - and a once-appended file
- * never stays fragmented past the next flush. A torn append (crash
- * mid-write) is detected on load (v4: footer checksum; csv: the
- * partial line fails to parse), costs only the torn rows, and is
- * cleaned up by the next compaction.
+ * inserted since the last durable write - one small segment at the
+ * end of the file, O(fresh) bytes, which is what the amortized
+ * insert checkpointing and the fleet's checkpoint-before-done
+ * contract use; a sweep writing N rows costs O(N) total bytes
+ * instead of the O(N^2) of rewriting the file at every checkpoint.
+ * flush()/saveNow() compact: one canonical sorted rewrite via
+ * tmp+rename, so the *final* file bytes are a pure function of the
+ * row set - identical across job counts, steal schedules, and
+ * crash/resume histories - and a once-appended file never stays
+ * fragmented past the next flush. A torn append (crash mid-write)
+ * is detected on load by the footer checksum, costs only the torn
+ * rows, and is cleaned up by the next compaction.
  *
  * An empty path disables disk I/O; results are then memoized in
  * memory only (the MIGC_NO_CACHE=1 behavior).
@@ -185,11 +168,12 @@ struct FleetWorkerSpec
 class RunCache
 {
   public:
-    /** Write format from MIGC_CACHE_FORMAT (default v4). */
     explicit RunCache(std::string path,
                       std::size_t checkpoint_interval = 8);
 
-    /** Explicit write format (tests, converters). */
+    /** Same as the two-argument form; @p format must be v4 (fatal
+     *  otherwise). Kept only for existing callers that still name
+     *  the format. */
     RunCache(std::string path, std::size_t checkpoint_interval,
              CacheFormat format);
 
@@ -201,12 +185,9 @@ class RunCache
 
     bool enabled() const { return !path_.empty(); }
 
-    /** The serialization saves write. */
-    CacheFormat format() const { return format_; }
-
-    /** Format the initial load found on disk: "v4", "v3", "v2",
-     *  "foreign" (unrecognized), or "none" (missing/empty file).
-     *  Operator-facing (migc_serve stats). */
+    /** What the initial load found on disk: "v4", or "none" for a
+     *  missing/empty file (any other file was refused). Operator-
+     *  facing (migc_serve stats). */
     const char *loadedFormatName() const;
 
     /** What one mergeFile() call found in its input. */
@@ -222,27 +203,29 @@ class RunCache
          *  held row wins; the caller decides how loud to be. */
         std::size_t conflicts = 0;
 
-        /** Unparseable rows this cache had not seen before (bad
-         *  lines are remembered, so re-reading the same damaged
-         *  file - e.g. at a checkpoint save - counts each loss
-         *  once). */
+        /** Damaged input this cache had not seen before: a v4
+         *  segment that fails validation (remembered per file and
+         *  offset, so re-reading the same damaged file - e.g. at a
+         *  checkpoint save - counts each loss once), or one
+         *  unparseable importTextCache() line. */
         std::size_t parseErrors = 0;
     };
 
     /**
-     * Union another cache file (v4, v3, or legacy v2 - sniffed) into
-     * memory without writing anything; rows already held win. This
-     * is how a fleet worker warm-starts from the canonical cache and
-     * how the coordinator folds shard files back in (shard.hh). A
-     * missing file merges zero rows.
+     * Union another v4 cache file into memory without writing
+     * anything; rows already held win. This is how a fleet worker
+     * warm-starts from the canonical cache and how the coordinator
+     * folds shard files back in (shard.hh). A missing or zero-length
+     * file merges zero rows; a non-v4 file is fatal, like a non-v4
+     * file at this cache's own path.
      */
     MergeStats mergeFile(const std::string &path);
 
     /**
-     * Distinct unparseable rows seen across the initial load, every
+     * Distinct damaged segments seen across the initial load, every
      * explicit mergeFile(), and the pre-write merge of each save -
-     * corrupted or stale-schema cache lines whose results were
-     * lost. Surfaced in the sweep summary line so a truncated cache
+     * corrupted or torn cache bytes whose results were lost.
+     * Surfaced in the sweep summary line so a truncated cache
      * cannot silently masquerade as a cold one.
      */
     std::size_t parseErrors() const { return parseErrors_; }
@@ -258,9 +241,10 @@ class RunCache
     /**
      * Write the current contents to @p path in @p format (tmp +
      * rename; this cache's own file and state are untouched unless
-     * @p path aliases it). The CSV export of a v4 cache is
-     * byte-identical to the v3 file a pure-text pipeline would have
-     * written for the same rows.
+     * @p path aliases it, which only a v4 write may - csv text at
+     * the cache's own path is fatal, since no RunCache could load
+     * it back). The CSV export is byte-identical to the v3 file a
+     * pure-text pipeline would have written for the same rows.
      */
     bool exportFile(const std::string &path, CacheFormat format);
 
@@ -284,9 +268,9 @@ class RunCache
     /**
      * Make every in-memory row durable cheaply: append the rows
      * inserted since the last durable write to the end of the file
-     * (O(fresh) bytes), falling back to a full compacting save when
-     * the file cannot take an append (different/damaged format,
-     * torn tail, first write). This is the fleet worker's
+     * as one v4 segment (O(fresh) bytes), falling back to a full
+     * compacting save when the file cannot take an append (torn
+     * tail, first write). This is the fleet worker's
      * checkpoint-before-done primitive; the file stays fragmented
      * until the next flush()/saveNow() compacts it.
      */
@@ -326,21 +310,21 @@ class RunCache
     using FreshSection = std::map<Key, const RunMetrics *>;
 
     /** What the on-disk file currently is, as far as appends care:
-     *  only a clean file of our own write format takes appends;
-     *  everything else forces the next durable write to compact. */
+     *  only a clean file takes appends; a damaged one forces the
+     *  next durable write to compact. */
     enum class FileState
     {
-        absent,   ///< missing or empty
-        cleanV4,  ///< v4, no damaged tail seen
-        cleanV3,  ///< v3 text
-        other,    ///< v2 / foreign / torn v4 tail
+        absent,  ///< missing or empty
+        clean,   ///< v4, no damaged tail seen
+        damaged, ///< torn v4 tail, or an append failed partway
     };
 
     void load();
 
     /**
-     * Union @p path into memory; rows already held in memory win.
-     * Shared by load(), mergeFile(), and save()'s pre-write merge -
+     * Union the v4 file @p path into memory; rows already held in
+     * memory win. Fatal on a non-empty file that is not v4. Shared
+     * by load(), mergeFile(), and save()'s pre-write merge -
      * the latter is what lets concurrently running binaries share
      * one cache path: each writer unions the other's finished
      * sections instead of clobbering them with its own load-time
@@ -353,22 +337,11 @@ class RunCache
     MergeStats mergeFromFile(const std::string &path,
                              bool classify_collisions = true);
 
-    /** The v3/v2 text reader behind mergeFromFile(). */
-    MergeStats mergeTextFile(const std::string &path,
-                             bool classify_collisions);
-
-    /** The v4 segment reader behind mergeFromFile(). */
-    MergeStats mergeV4File(const std::string &path,
-                           bool classify_collisions);
-
     /** Merge one parsed v4 segment. @p durable marks rows already in
      *  this cache's own file. */
     void mergeV4Segment(const struct V4SegmentView &seg,
                         bool classify_collisions, bool durable,
                         MergeStats &stats);
-
-    /** Record what the initial load found (first observation only). */
-    void noteLoadedFormat(const char *format);
 
     /** Shared warning text for merge problems found in @p path. */
     static void warnMergeProblems(const std::string &path,
@@ -379,8 +352,8 @@ class RunCache
      *  disk (or I/O is off). */
     bool save();
 
-    /** Append pendingAppend_ as one segment / section chunk at the
-     *  end of the file. @return false when the write failed (the
+    /** Append pendingAppend_ as one v4 segment at the end of the
+     *  file. @return false when the write failed (the
      *  caller falls back to save()). */
     bool appendPending();
 
@@ -393,15 +366,14 @@ class RunCache
 
     std::string path_;
     std::size_t checkpointInterval_;
-    CacheFormat format_;
     std::size_t unsaved_ = 0;
     std::size_t parseErrors_ = 0;
 
     /** See FileState. */
     FileState fileState_ = FileState::absent;
 
-    /** First format the load sniffed; nullptr until something was. */
-    const char *loadedFormat_ = nullptr;
+    /** True when the initial load found a v4 file (loadedFormatName). */
+    bool loadedFile_ = false;
 
     /** Rows inserted/merged since the last durable write of this
      *  file, in arrival order: exactly what checkpoint() appends. */
@@ -413,10 +385,10 @@ class RunCache
      *  if nothing is pending. */
     bool appendedSinceCompact_ = false;
 
-    /** (source path, line) pairs already counted as parse errors:
-     *  re-reading the same damaged file dedupes, while the same
-     *  damaged text in two different shard files still counts as
-     *  two lost rows. */
+    /** (source path, segment offset, reason) triples already counted
+     *  as parse errors: re-reading the same damaged file dedupes,
+     *  while the same damage in two different shard files still
+     *  counts twice. */
     std::set<std::string> badLines_;
 
     /**
@@ -435,6 +407,34 @@ class RunCache
      *  log_); folded into base_ by snapshot(). */
     std::map<std::string, FreshSection> fresh_;
 };
+
+/**
+ * The one-shot text import behind `migc_sweep --cache X --convert`:
+ * union the v3 text cache (or legacy single-config v2 file) at
+ * @p path into @p into, rows already held winning, so the caller
+ * can write it back out as v4 (RunCache::exportFile). Meant for a
+ * memory-only @p into. Nothing else reads text; a RunCache refuses
+ * it.
+ *
+ * A v3 file is one section per configuration signature:
+ *
+ *   # migc-sweep-v3
+ *   # config <signature>
+ *   <csv header>
+ *   <RunMetrics rows>
+ *   # config <signature'>
+ *   ...
+ *
+ * A v2 file imports as one section under the old-format signature
+ * on its tag line: its rows are preserved, but never served, because
+ * the old signature format aliased structurally different configs
+ * (see kCacheTagV2 in sweep_engine.cc). Each line that does not
+ * parse as a row counts as one parse error; an empty file imports
+ * zero rows. Fatal when @p path cannot be read, is already v4, or
+ * carries no v3/v2 tag.
+ */
+RunCache::MergeStats importTextCache(const std::string &path,
+                                     RunCache &into);
 
 /**
  * Shared run scheduler + cache. Construct once per process (the
@@ -527,9 +527,10 @@ class SweepEngine
      */
     std::shared_ptr<const CacheSnapshot> snapshot();
 
-    /** The writable cache's on-disk format at load ("v4", "v3",
-     *  "v2", "foreign", "none"); loads the cache if this engine has
-     *  not touched it yet. Operator-facing (migc_serve stats). */
+    /** The writable cache's on-disk format at load ("v4", or "none"
+     *  for a missing/empty file; any other file is refused); loads
+     *  the cache if this engine has not touched it yet. Operator-
+     *  facing (migc_serve stats). */
     const char *cacheFileFormat() const;
 
     /** Simulations actually executed (cache misses). */

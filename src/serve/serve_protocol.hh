@@ -26,12 +26,13 @@
  *   fetch <shard>                        download the coordinator's
  *                                        stored copy of a shard file
  *
- * Blank lines and lines starting with '#' are ignored (so a cache
- * file or a recorded session can be replayed as input). Responses
- * are newline-delimited too: result rows are raw RunMetrics CSV
- * (byte-identical to the v3 cache file), everything else - status,
- * errors, the `match` trailer - starts with '#', so a client (or CI)
- * separates data from status with one grep.
+ * Blank lines and lines starting with '#' are ignored (so a csv
+ * cache export or a recorded session can be replayed as input).
+ * Responses are newline-delimited too: result rows are raw
+ * RunMetrics CSV (byte-identical to the cache's csv export),
+ * everything else - status, errors, the `match` trailer - starts
+ * with '#', so a client (or CI) separates data from status with one
+ * grep.
  *
  * This header is pure parsing: text in, ServeRequest out. The
  * semantics live in serve_service.hh.

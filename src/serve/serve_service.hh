@@ -101,7 +101,8 @@ class ServeService
 
     /** How the initial serving snapshot came to be: "v4-mmap" for a
      *  zero-copy mapped start, else the cache file's parsed format
-     *  ("v4", "v3", "v2", "foreign", "none"). */
+     *  ("v4", or "none" for a missing/empty file; a non-v4 file is
+     *  refused at startup). */
     const std::string &snapshotFormat() const { return format_; }
 
     /** Wall time the initial snapshot took (map+checksum or full

@@ -2,11 +2,12 @@
  * @file
  * The v4 binary columnar cache format: round-trip exactness, byte
  * determinism, O(fresh) checkpoint appends, torn-write rejection and
- * recovery, format migration (v3/v2 -> v4) with byte-identical CSV
- * export, the zero-copy mapped snapshot's parity with the parsed
- * one, the mixed-format shard merge fallback, and rejection of a
- * crafted segment whose layout only adds up modulo 2^64. See
- * src/core/cache_v4.hh and docs/SWEEPS.md.
+ * recovery, refusal of text caches at a cache path, the one-shot
+ * v3/v2 text import with byte-identical CSV export, the zero-copy
+ * mapped snapshot's parity with the parsed one, the general shard
+ * merge over fragmented shards, and rejection of a crafted segment
+ * whose layout only adds up modulo 2^64. See src/core/cache_v4.hh
+ * and docs/SWEEPS.md.
  */
 
 #include <gtest/gtest.h>
@@ -55,35 +56,6 @@ writeFile(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        hadOld_ = old != nullptr;
-        if (hadOld_)
-            old_ = old;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadOld_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool hadOld_;
-};
-
 /** A row with doubles no text format would round-trip exactly. */
 RunMetrics
 awkwardRow(const std::string &workload, const std::string &policy)
@@ -109,8 +81,8 @@ awkwardRow(const std::string &workload, const std::string &policy)
 }
 
 /** A plain deterministic row. Whole-number doubles only, so the
- *  row survives a v3 text round trip bit-exactly (the mixed-format
- *  merge test compares across serializations). */
+ *  row survives a v3 text round trip bit-exactly (the text import
+ *  tests compare across serializations). */
 RunMetrics
 simpleRow(const std::string &workload, const std::string &policy,
           double seedv)
@@ -175,11 +147,11 @@ TEST(CacheV4, RoundTripPreservesExactDoubles)
     std::remove(path.c_str());
     const RunMetrics planted = awkwardRow("FwSoft", "CacheRW");
     {
-        RunCache rc(path, 100, CacheFormat::v4);
+        RunCache rc(path, 100);
         rc.insert("sig-a", planted);
         rc.flush();
     }
-    RunCache rc(path, 100, CacheFormat::v4);
+    RunCache rc(path, 100);
     const RunMetrics *held = rc.find("sig-a", "FwSoft", "CacheRW");
     ASSERT_NE(held, nullptr);
     // Exact equality, not near-equality: the binary format stores
@@ -214,14 +186,14 @@ TEST(CacheV4, FileBytesAreAPureFunctionOfTheRowSet)
     }
 
     {
-        RunCache rc(a, 1000, CacheFormat::v4);
+        RunCache rc(a, 1000);
         for (const auto &[sig, m] : rows)
             rc.insert(sig, m);
         rc.flush();
     }
     {
         // Reverse order, tiny checkpoint interval (many appends).
-        RunCache rc(b, 2, CacheFormat::v4);
+        RunCache rc(b, 2);
         for (auto it = rows.rbegin(); it != rows.rend(); ++it)
             rc.insert(it->first, it->second);
         rc.flush();
@@ -239,7 +211,7 @@ TEST(CacheV4, CheckpointAppendsSegmentsInsteadOfRewriting)
 {
     const std::string path = tempPath("appends");
     std::remove(path.c_str());
-    RunCache rc(path, 1000, CacheFormat::v4);
+    RunCache rc(path, 1000);
 
     rc.insert("sig-a", simpleRow("w0", "p0", 1));
     rc.insert("sig-a", simpleRow("w1", "p0", 2));
@@ -262,7 +234,7 @@ TEST(CacheV4, CheckpointAppendsSegmentsInsteadOfRewriting)
 
     // A fresh cache reads the appended file whole.
     {
-        RunCache other(path, 1000, CacheFormat::v4);
+        RunCache other(path, 1000);
         EXPECT_EQ(other.size(), 4u);
         EXPECT_EQ(other.parseErrors(), 0u);
         EXPECT_NE(other.find("sig-c", "w9", "p9"), nullptr);
@@ -285,7 +257,7 @@ TEST(CacheV4, TruncatedFooterIsRejectedLoudly)
     const std::string path = tempPath("truncated");
     std::remove(path.c_str());
     {
-        RunCache rc(path, 100, CacheFormat::v4);
+        RunCache rc(path, 100);
         for (int i = 0; i < 5; ++i)
             rc.insert("sig-a", simpleRow("w" + std::to_string(i),
                                          "p0", i));
@@ -296,7 +268,7 @@ TEST(CacheV4, TruncatedFooterIsRejectedLoudly)
 
     // The parsing loader refuses the damaged segment and counts the
     // loss; nothing is served from it.
-    RunCache rc(path, 100, CacheFormat::v4);
+    RunCache rc(path, 100);
     EXPECT_EQ(rc.size(), 0u);
     EXPECT_GE(rc.parseErrors(), 1u);
 
@@ -312,7 +284,7 @@ TEST(CacheV4, CorruptedByteFailsTheChecksum)
     const std::string path = tempPath("corrupt");
     std::remove(path.c_str());
     {
-        RunCache rc(path, 100, CacheFormat::v4);
+        RunCache rc(path, 100);
         rc.insert("sig-a", awkwardRow("FwSoft", "CacheRW"));
         rc.flush();
     }
@@ -320,7 +292,7 @@ TEST(CacheV4, CorruptedByteFailsTheChecksum)
     bytes[bytes.size() / 2] ^= 0x40; // flip one bit mid-file
     writeFile(path, bytes);
 
-    RunCache rc(path, 100, CacheFormat::v4);
+    RunCache rc(path, 100);
     EXPECT_EQ(rc.size(), 0u);
     EXPECT_GE(rc.parseErrors(), 1u);
     std::string why;
@@ -372,7 +344,7 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
     // A clean two-segment file (one compact write + one append)...
     std::string two_segments;
     {
-        RunCache rc(path, 1000, CacheFormat::v4);
+        RunCache rc(path, 1000);
         rc.insert("sig-a", simpleRow("w0", "p0", 1));
         rc.insert("sig-a", simpleRow("w1", "p0", 2));
         rc.checkpoint();
@@ -389,7 +361,7 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
 
     // Reload: the clean first segment survives, the torn tail is a
     // counted parse error, not silent loss of the whole file.
-    RunCache rc(path, 1000, CacheFormat::v4);
+    RunCache rc(path, 1000);
     EXPECT_EQ(rc.size(), 2u);
     EXPECT_GE(rc.parseErrors(), 1u);
     EXPECT_NE(rc.find("sig-a", "w0", "p0"), nullptr);
@@ -401,7 +373,7 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
     rc.checkpoint();
     EXPECT_EQ(v4SegmentCount(path), 1u);
     {
-        RunCache healed(path, 1000, CacheFormat::v4);
+        RunCache healed(path, 1000);
         EXPECT_EQ(healed.size(), 3u);
         EXPECT_EQ(healed.parseErrors(), 0u);
     }
@@ -411,7 +383,7 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
     const std::string ref = tempPath("torn_append_ref");
     std::remove(ref.c_str());
     {
-        RunCache rr(ref, 1000, CacheFormat::v4);
+        RunCache rr(ref, 1000);
         rr.insert("sig-a", simpleRow("w0", "p0", 1));
         rr.insert("sig-a", simpleRow("w1", "p0", 2));
         rr.insert("sig-c", simpleRow("w5", "p5", 9));
@@ -424,45 +396,82 @@ TEST(CacheV4, CrashMidAppendLosesOnlyTheTornSegment)
 }
 
 // ---------------------------------------------------------------
-// Format migration
+// Text caches: refused at a cache path, imported by --convert
 // ---------------------------------------------------------------
+
+TEST(CacheV4Death, TextCacheAtACachePathIsRefusedAndLeftUntouched)
+{
+    const std::string path = tempPath("refused_v3");
+    const std::string text = "# migc-sweep-v3\n# config sig-a\n" +
+                             RunMetrics::csvHeader() + "\n" +
+                             simpleRow("w0", "p0", 1).toCsv() + "\n";
+    writeFile(path, text);
+
+    // Loading must stop before anything could rewrite the file, and
+    // point at the one-shot import.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            RunCache rc(path);
+            rc.insert("sig-b", simpleRow("w1", "p1", 2));
+            rc.flush();
+        },
+        ::testing::ExitedWithCode(1), "not a v4 cache.*--convert");
+    EXPECT_EQ(readFile(path), text);
+
+    // Unrecognized bytes are refused the same way.
+    writeFile(path, "not a cache at all\n");
+    EXPECT_EXIT({ RunCache rc(path); }, ::testing::ExitedWithCode(1),
+                "not a v4 cache");
+    EXPECT_EQ(readFile(path), "not a cache at all\n");
+
+    // A zero-length file is an empty cache, not a refusal.
+    writeFile(path, "");
+    RunCache empty(path);
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_STREQ(empty.loadedFormatName(), "none");
+    std::remove(path.c_str());
+}
 
 TEST(CacheV4, V3LoadSaveExportIsByteIdenticalToTheTextPipeline)
 {
-    // Build a reference v3 text cache, migrate it through v4, and
-    // export back to csv: the exported bytes must equal the
-    // original text file exactly.
+    // A reference v3 text cache, converted to v4 by the one-shot
+    // import (what `migc_sweep --convert` does) and exported back to
+    // csv: the exported bytes must equal the original text exactly,
+    // and the converted file must equal a natively written v4 cache.
     const std::string v3 = tempPath("migrate_v3");
     const std::string v4 = tempPath("migrate_v4");
+    const std::string native = tempPath("migrate_native");
     const std::string out = tempPath("migrate_out");
-    std::remove(v3.c_str());
-    std::remove(v4.c_str());
-    std::remove(out.c_str());
+    for (const std::string &p : {v3, v4, native, out})
+        std::remove(p.c_str());
     {
-        RunCache rc(v3, 100, CacheFormat::csv);
+        RunCache rc(native, 100);
         for (int i = 0; i < 12; ++i)
             rc.insert(i % 2 ? "sig-a" : "sig-b",
                       simpleRow("w" + std::to_string(i), "p", i));
         rc.flush();
+        ASSERT_TRUE(rc.exportFile(v3, CacheFormat::csv));
     }
     const std::string v3_bytes = readFile(v3);
+    ASSERT_EQ(v3_bytes.rfind("# migc-sweep-v3\n", 0), 0u);
 
     {
-        // Load the text file into a v4-writing cache and save: the
-        // file migrates to binary.
-        RunCache rc(v3, 100, CacheFormat::v4);
-        EXPECT_EQ(rc.size(), 12u);
-        ASSERT_TRUE(rc.exportFile(v4, CacheFormat::v4));
+        RunCache text{std::string()};
+        RunCache::MergeStats stats = importTextCache(v3, text);
+        EXPECT_EQ(stats.rows, 12u);
+        EXPECT_EQ(stats.parseErrors, 0u);
+        ASSERT_TRUE(text.exportFile(v4, CacheFormat::v4));
     }
+    EXPECT_EQ(readFile(v4), readFile(native));
     {
-        RunCache rc(v4, 100, CacheFormat::v4);
+        RunCache rc(v4, 100);
         EXPECT_EQ(rc.size(), 12u);
         ASSERT_TRUE(rc.exportFile(out, CacheFormat::csv));
     }
     EXPECT_EQ(readFile(out), v3_bytes);
-    std::remove(v3.c_str());
-    std::remove(v4.c_str());
-    std::remove(out.c_str());
+    for (const std::string &p : {v3, v4, native, out})
+        std::remove(p.c_str());
 }
 
 TEST(CacheV4, LegacyV2RowsSurviveMigrationAsAForeignSection)
@@ -479,16 +488,21 @@ TEST(CacheV4, LegacyV2RowsSurviveMigrationAsAForeignSection)
                         row + "\n");
 
     {
-        // Loading the v2 file and saving writes v4; the legacy rows
-        // ride along as a preserved (never served) section.
-        RunCache rc(path, 100, CacheFormat::v4);
+        // Converting the v2 file writes v4; the legacy rows ride
+        // along as a preserved (never served) section.
+        RunCache text{std::string()};
+        EXPECT_EQ(importTextCache(path, text).rows, 1u);
+        ASSERT_TRUE(text.exportFile(path, CacheFormat::v4));
+    }
+    {
+        RunCache rc(path, 100);
         rc.insert("sig-new", simpleRow("w0", "p0", 1));
         ASSERT_TRUE(rc.saveNow());
     }
     std::string why;
     EXPECT_NE(MappedCacheV4::map(path, &why), nullptr) << why;
 
-    RunCache rc(path, 100, CacheFormat::v4);
+    RunCache rc(path, 100);
     EXPECT_EQ(rc.size(), 2u);
     // The legacy row kept its key and its data (sim_events
     // defaulted to 0 by the v2 importer).
@@ -506,7 +520,7 @@ TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
 {
     const std::string path = tempPath("parity");
     std::remove(path.c_str());
-    RunCache rc(path, 1000, CacheFormat::v4);
+    RunCache rc(path, 1000);
     for (int s = 0; s < 3; ++s)
         for (int w = 0; w < 4; ++w)
             for (int p = 0; p < 4; ++p)
@@ -561,58 +575,66 @@ TEST(CacheV4, MappedSnapshotAnswersExactlyLikeTheParsedOne)
 }
 
 // ---------------------------------------------------------------
-// Shard merge across formats
+// Shard merge over fragmented shards
 // ---------------------------------------------------------------
 
-TEST(CacheV4, MixedFormatShardMergeMatchesTheAllV4Merge)
+TEST(CacheV4, FragmentedShardMergeMatchesTheCompactedMerge)
 {
-    // Shard 0 checkpointed v4, shard 1 wrote csv (e.g. an operator
-    // override mid-fleet): the coordinator join must still merge
-    // both, and the resulting row set must match an all-v4 fleet.
-    ScopedEnv fmt("MIGC_CACHE_FORMAT", nullptr); // default: v4
-    const std::string mixed = tempPath("merge_mixed");
-    const std::string pure = tempPath("merge_pure");
-    for (const std::string &base : {mixed, pure}) {
+    // Shard 1 of one fleet is left as the appended multi-segment
+    // file a worker's checkpoints produce (e.g. a worker killed
+    // before its final flush), so the zero-copy k-way join declines
+    // it: the general RunCache merge must produce exactly the bytes
+    // of the all-compacted join.
+    const std::string frag = tempPath("merge_fragmented");
+    const std::string compact = tempPath("merge_compacted");
+    for (const std::string &base : {frag, compact}) {
         std::remove(base.c_str());
         for (unsigned i = 0; i < 2; ++i)
             std::remove(shardCachePath(base, i).c_str());
     }
 
-    auto fill = [](RunCache &rc, unsigned shard) {
-        for (int i = 0; i < 6; ++i)
-            rc.insert("sig-a",
-                      simpleRow("w" + std::to_string(i * 2 + shard),
-                                "p0", i * 2.0 + shard));
-        rc.flush();
+    auto fill = [](const std::string &path, unsigned shard,
+                   bool fragmented) {
+        std::string bytes;
+        {
+            // Checkpoint every two inserts: one compacting first
+            // write, then one appended segment per checkpoint.
+            RunCache rc(path, 2);
+            for (int i = 0; i < 6; ++i)
+                rc.insert("sig-a",
+                          simpleRow("w" + std::to_string(i * 2 + shard),
+                                    "p0", i * 2.0 + shard));
+            if (!fragmented)
+                rc.flush();
+            bytes = readFile(path);
+        }
+        writeFile(path, bytes); // undo the destructor's compaction
     };
-    {
-        RunCache s0(shardCachePath(mixed, 0), 100, CacheFormat::v4);
-        fill(s0, 0);
-        RunCache s1(shardCachePath(mixed, 1), 100, CacheFormat::csv);
-        fill(s1, 1);
-        RunCache p0(shardCachePath(pure, 0), 100, CacheFormat::v4);
-        fill(p0, 0);
-        RunCache p1(shardCachePath(pure, 1), 100, CacheFormat::v4);
-        fill(p1, 1);
-    }
+    fill(shardCachePath(frag, 0), 0, false);
+    fill(shardCachePath(frag, 1), 1, true);
+    fill(shardCachePath(compact, 0), 0, false);
+    fill(shardCachePath(compact, 1), 1, false);
+    ASSERT_GT(v4SegmentCount(shardCachePath(frag, 1)), 1u);
+    std::string why;
+    ASSERT_EQ(MappedCacheV4::map(shardCachePath(frag, 1), &why),
+              nullptr);
 
-    const ShardMergeStats a = mergeShardCaches(mixed, 2);
-    const ShardMergeStats b = mergeShardCaches(pure, 2);
+    const ShardMergeStats a = mergeShardCaches(frag, 2);
+    const ShardMergeStats b = mergeShardCaches(compact, 2);
     EXPECT_EQ(a.files, 2u);
     EXPECT_EQ(a.rows, 12u);
     EXPECT_EQ(b.rows, 12u);
     EXPECT_EQ(a.parseErrors, 0u);
 
-    // Both canonical files are v4 (the configured write format) and
-    // hold identical row sets; the all-v4 join (zero-copy k-way)
-    // and the fallback (RunCache) must serialize identically.
-    EXPECT_EQ(readFile(mixed), readFile(pure));
-    const std::string probe = readFile(mixed);
+    // Both canonical files are compacted v4 with identical bytes.
+    EXPECT_EQ(readFile(frag), readFile(compact));
+    EXPECT_EQ(v4SegmentCount(frag), 1u);
+    const std::string probe = readFile(frag);
     ASSERT_GE(probe.size(), 8u);
     EXPECT_EQ(probe.substr(0, 8), "MIGC4SEG");
 
-    std::remove(mixed.c_str());
-    std::remove(pure.c_str());
+    std::remove(frag.c_str());
+    std::remove(compact.c_str());
 }
 
 // ---------------------------------------------------------------

@@ -1,13 +1,16 @@
 /** @file Tests for the experiment harness and the sweep engine: the
  *  multi-config on-disk cache, cache bypass, cross-config isolation,
- *  warm-cache replay, and static-policy selection logic. */
+ *  warm-cache replay, damaged-input accounting (v4 segments and the
+ *  one-shot text import), and static-policy selection logic. */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
+#include "core/cache_v4.hh"
 #include "core/experiments.hh"
 #include "core/metrics.hh"
 #include "core/sim_config.hh"
@@ -61,6 +64,22 @@ fileExists(const std::string &path)
     return static_cast<bool>(std::ifstream(path));
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
 /** A fake metrics row so selection tests need no simulation. */
 RunMetrics
 fakeMetrics(const std::string &workload, const std::string &policy,
@@ -74,21 +93,37 @@ fakeMetrics(const std::string &workload, const std::string &policy,
     return m;
 }
 
-/** Multi-config header tags (see core/sweep_engine.cc). */
+/** v3 text tags, for inputs of the one-shot text import. */
 constexpr const char *kCacheTagV3 = "# migc-sweep-v3";
 constexpr const char *kSectionTag = "# config ";
 
-/** Seed a v3 cache file with one section for @p cfg. */
+/** Replace @p path with a v4 cache holding @p rows for @p cfg. */
 void
 writeCacheFile(const std::string &path, const SimConfig &cfg,
                const std::vector<RunMetrics> &rows)
 {
-    std::ofstream out(path, std::ios::trunc);
-    out << kCacheTagV3 << "\n";
-    out << kSectionTag << cfg.signature() << "\n";
-    out << RunMetrics::csvHeader() << "\n";
+    std::remove(path.c_str());
+    RunCache rc(path);
     for (const auto &m : rows)
-        out << m.toCsv() << "\n";
+        rc.insert(cfg.signature(), m);
+    rc.flush();
+}
+
+/** One v4 segment holding @p m under @p sig. */
+std::string
+segmentOf(const std::string &sig, const RunMetrics &m)
+{
+    return buildV4Segment(
+        {V4RowRef{sig, m.workload, m.policy, packV4Row(m)}});
+}
+
+/** @p seg with one byte mid-segment flipped: its footer checksum no
+ *  longer verifies. */
+std::string
+damaged(std::string seg)
+{
+    seg[seg.size() / 2] ^= 0x40;
+    return seg;
 }
 
 } // namespace
@@ -99,9 +134,6 @@ TEST(ExperimentSweep, CacheRoundTripBySignature)
     std::remove(path.c_str());
     ScopedEnv cache("MIGC_SWEEP_CACHE", path.c_str());
     ScopedEnv no_cache("MIGC_NO_CACHE", nullptr);
-    // This test asserts the v3 text layout line by line; run the
-    // engine in csv mode (the v4 binary path has its own tests).
-    ScopedEnv fmt("MIGC_CACHE_FORMAT", "csv");
 
     SimConfig cfg = SimConfig::testConfig();
     RunMetrics first;
@@ -111,13 +143,14 @@ TEST(ExperimentSweep, CacheRoundTripBySignature)
         ASSERT_TRUE(fileExists(path));
     }
 
-    // The file leads with the format tag, then this config's section.
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, kCacheTagV3);
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, kSectionTag + cfg.signature());
+    // The file is v4 and holds exactly this config's row.
+    {
+        RunCache rc(path);
+        EXPECT_STREQ(rc.loadedFormatName(), "v4");
+        EXPECT_EQ(rc.size(), 1u);
+        EXPECT_NE(rc.find(cfg.signature(), "FwSoft", "CacheRW"),
+                  nullptr);
+    }
 
     // A new sweep on the same config must load the saved result
     // rather than resimulate: doctor the cached row and confirm the
@@ -154,21 +187,16 @@ TEST(ExperimentSweep, NoCacheEnvBypassesDisk)
     SimConfig cfg = SimConfig::testConfig();
     writeCacheFile(path, cfg,
                    {fakeMetrics("FwSoft", "CacheRW", 424242)});
+    const std::string planted = readFile(path);
+    ASSERT_FALSE(planted.empty());
     {
         ScopedEnv no_cache("MIGC_NO_CACHE", "1");
         ExperimentSweep sweep(cfg);
         EXPECT_NE(sweep.get("FwSoft", "CacheRW").execTicks,
                   Tick(424242));
     }
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    std::vector<std::string> lines;
-    do {
-        lines.push_back(line);
-    } while (std::getline(in, line));
-    // tag + section + header + planted row, untouched
-    EXPECT_EQ(lines.size(), 4u);
+    // The planted file is untouched, byte for byte.
+    EXPECT_EQ(readFile(path), planted);
     std::remove(path.c_str());
 }
 
@@ -176,25 +204,25 @@ TEST(ExperimentSweep, LegacyV2CacheIsPreservedButNeverServed)
 {
     const std::string path = tempCachePath("legacy_v2");
     std::remove(path.c_str());
-    // The rewrite layout being asserted below is v3 text.
-    ScopedEnv fmt("MIGC_CACHE_FORMAT", "csv");
 
     // A real pre-multi-config cache: "# migc-sweep-v2 <sig>" header
     // in the OLD signature format (no structure hash) and rows
     // without the sim_events column. The old format aliased
     // structurally different configs, so its rows must never be
-    // served - but they must survive as a foreign section instead
-    // of being silently discarded.
+    // served - but they must survive the `--convert` import as a
+    // foreign section instead of being silently discarded.
     const std::string old_sig =
         "test:cus4:l2x4:64kB:ch4:scale0.125:seed1";
     RunMetrics planted = fakeMetrics("FwSoft", "CacheRW", 424242);
     std::string row = planted.toCsv();
     row = row.substr(0, row.rfind(',')); // drop sim_events column
+    writeFile(path, "# migc-sweep-v2 " + old_sig +
+                        "\nworkload,policy,...legacy header...\n" +
+                        row + "\n");
     {
-        std::ofstream out(path, std::ios::trunc);
-        out << "# migc-sweep-v2 " << old_sig << "\n";
-        out << "workload,policy,...legacy header...\n";
-        out << row << "\n";
+        RunCache text{std::string()};
+        EXPECT_EQ(importTextCache(path, text).rows, 1u);
+        ASSERT_TRUE(text.exportFile(path, CacheFormat::v4));
     }
 
     SimConfig cfg = SimConfig::testConfig();
@@ -206,24 +234,16 @@ TEST(ExperimentSweep, LegacyV2CacheIsPreservedButNeverServed)
         EXPECT_EQ(engine.simulationsPerformed(), 1u);
     }
 
-    // After the rewrite, both the legacy row (re-serialized with the
-    // sim_events column defaulted to 0) and the fresh result coexist
-    // in the v3 file.
-    std::ifstream in(path);
-    std::string line;
-    bool legacy_section = false;
-    bool legacy_row = false;
-    std::size_t sections = 0;
-    while (std::getline(in, line)) {
-        if (line.rfind("# config ", 0) == 0) {
-            ++sections;
-            legacy_section |= line == "# config " + old_sig;
-        }
-        legacy_row |= line == row + ",0";
-    }
-    EXPECT_TRUE(legacy_section);
-    EXPECT_TRUE(legacy_row);
-    EXPECT_EQ(sections, 2u);
+    // After the engine's rewrite, both the legacy row (re-serialized
+    // with the sim_events column defaulted to 0) and the fresh
+    // result coexist in the v4 file, in two sections.
+    RunCache rc(path);
+    EXPECT_EQ(rc.size(), 2u);
+    EXPECT_EQ(rc.snapshot()->sectionCount(), 2u);
+    const RunMetrics *legacy = rc.find(old_sig, "FwSoft", "CacheRW");
+    ASSERT_NE(legacy, nullptr);
+    EXPECT_EQ(legacy->toCsv(), row + ",0");
+    EXPECT_NE(rc.find(cfg.signature(), "FwSoft", "CacheRW"), nullptr);
     std::remove(path.c_str());
 }
 
@@ -341,13 +361,30 @@ TEST(SweepEngine, CorruptedCacheRowsAreCountedAsParseErrors)
     const std::string path = tempCachePath("parse_errors");
     std::remove(path.c_str());
 
-    // A cache file with one good row and two corrupted lines (a
-    // truncated write, a stale schema, a stray editor). The good row
-    // must still be served, and the losses must be counted - a
-    // truncated cache should not be able to pass for a cold one.
+    // A v4 cache with one good segment and a damaged appended one (a
+    // torn write, a flipped bit). The good row must still be served,
+    // and the loss must be counted - a damaged cache should not be
+    // able to pass for a cold one.
     SimConfig cfg = SimConfig::testConfig();
+    writeFile(path,
+              segmentOf(cfg.signature(),
+                        fakeMetrics("FwSoft", "CacheRW", 424242)) +
+                  damaged(segmentOf(cfg.signature(),
+                                    fakeMetrics("FwBN", "CacheR", 7))));
     {
-        std::ofstream out(path, std::ios::trunc);
+        SweepEngine engine(path);
+        EXPECT_EQ(engine.cacheParseErrors(), 1u);
+        EXPECT_EQ(engine.get(cfg, "FwSoft", "CacheRW").execTicks,
+                  Tick(424242));
+        EXPECT_EQ(engine.simulationsPerformed(), 0u);
+    }
+
+    // The text import counts damaged lines the same way: a truncated
+    // write and a stray line are two lost rows, and the good row
+    // still converts.
+    const std::string text = tempCachePath("parse_errors_text");
+    {
+        std::ofstream out(text, std::ios::trunc);
         out << kCacheTagV3 << "\n";
         out << kSectionTag << cfg.signature() << "\n";
         out << RunMetrics::csvHeader() << "\n";
@@ -355,27 +392,24 @@ TEST(SweepEngine, CorruptedCacheRowsAreCountedAsParseErrors)
         out << "this line is not a metrics row\n";
         out << "FwBN,CacheR,not-a-number\n";
     }
-
-    SweepEngine engine(path);
-    EXPECT_EQ(engine.cacheParseErrors(), 2u);
-    EXPECT_EQ(engine.get(cfg, "FwSoft", "CacheRW").execTicks,
-              Tick(424242));
-    EXPECT_EQ(engine.simulationsPerformed(), 0u);
+    RunCache imported{std::string()};
+    RunCache::MergeStats stats = importTextCache(text, imported);
+    EXPECT_EQ(stats.rows, 1u);
+    EXPECT_EQ(stats.parseErrors, 2u);
+    ASSERT_NE(imported.find(cfg.signature(), "FwSoft", "CacheRW"),
+              nullptr);
     std::remove(path.c_str());
+    std::remove(text.c_str());
 }
 
 TEST(RunCache, ParseErrorsCountEachDamagedLineOnce)
 {
     const std::string corrupt = tempCachePath("corrupt_input");
     const std::string path = tempCachePath("parse_dedupe");
-    std::remove(corrupt.c_str());
     std::remove(path.c_str());
-    {
-        std::ofstream out(corrupt, std::ios::trunc);
-        out << kCacheTagV3 << "\n";
-        out << kSectionTag << "some-config\n";
-        out << "broken row\n";
-    }
+    writeFile(corrupt,
+              damaged(segmentOf("some-config",
+                                fakeMetrics("FwSoft", "CacheR", 1))));
 
     RunCache cache(path);
     // Re-merging the same damaged file must not inflate the count.
@@ -383,19 +417,33 @@ TEST(RunCache, ParseErrorsCountEachDamagedLineOnce)
     cache.mergeFile(corrupt);
     EXPECT_EQ(cache.parseErrors(), 1u);
 
-    // A row corrupted (by a concurrent writer) after this cache
+    // A segment damaged (by a concurrent writer) after this cache
     // loaded is seen - and counted - by the pre-write merge of
     // save(), the last moment it is visible before the rewrite
     // drops it.
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << kCacheTagV3 << "\n";
-        out << kSectionTag << "other-config\n";
-        out << "another broken row\n";
-    }
+    writeFile(path, damaged(segmentOf(
+                        "other-config",
+                        fakeMetrics("FwSoft", "CacheR", 2))));
     cache.insert("fresh-config", fakeMetrics("FwSoft", "CacheR", 7));
     cache.saveNow();
     EXPECT_EQ(cache.parseErrors(), 2u);
+
+    // The text import counts every damaged line exactly once, in
+    // and out of a section, and keeps the good rows around them.
+    {
+        std::ofstream out(corrupt, std::ios::trunc);
+        out << kCacheTagV3 << "\n";
+        out << "row before any section\n";
+        out << kSectionTag << "some-config\n";
+        out << "broken row\n";
+        out << fakeMetrics("FwSoft", "CacheR", 3).toCsv() << "\n";
+        out << "another broken row\n";
+    }
+    RunCache text{std::string()};
+    RunCache::MergeStats stats = importTextCache(corrupt, text);
+    EXPECT_EQ(stats.parseErrors, 3u);
+    EXPECT_EQ(stats.rows, 1u);
+    EXPECT_EQ(text.size(), 1u);
     std::remove(corrupt.c_str());
     std::remove(path.c_str());
 }
@@ -455,9 +503,7 @@ TEST(ExperimentSweep, PrefetchFillsTheGridWithoutResimulation)
     ExperimentSweep sweep(cfg);
     sweep.prefetch({"Uncached"});
 
-    // Every workload row must now be in the cache file. Count them
-    // through RunCache so the check holds for v4 binary (the
-    // default) and csv alike.
+    // Every workload row must now be in the cache file.
     RunCache rows(path, 8);
     EXPECT_EQ(rows.size(), workloadOrder().size());
 

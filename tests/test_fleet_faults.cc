@@ -568,7 +568,7 @@ TEST(FleetFaults, CorruptFooterSegmentDropsLoudlyThenRepushRepairs)
     ASSERT_EQ(a.compare(0, sizeof(kV4SegMagic), kV4SegMagic,
                         sizeof(kV4SegMagic)),
               0)
-        << "expected a v4-format cache (MIGC_CACHE_FORMAT override?)";
+        << "expected a v4-format cache";
 
     // Two distinct-key single-row segments concatenate into one
     // valid two-segment shard file - the shape a worker's

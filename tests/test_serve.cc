@@ -166,14 +166,17 @@ TEST(Snapshot, BuildsFirstWinsIndexInCanonicalOrder)
     EXPECT_EQ(snap->find("nosig", "FwBN", "CacheR"), nullptr);
 
     // match order: signature, then workload, then policy.
-    std::vector<const RunMetrics *> all = snap->match("*", "*", "*");
-    ASSERT_EQ(all.size(), 3u);
-    EXPECT_EQ(all[0]->workload, "BwBN");
-    EXPECT_EQ(all[1]->policy, "CacheR");
-    EXPECT_EQ(all[2]->policy, "Uncached");
+    std::string all;
+    ASSERT_EQ(snap->matchCsv("*", "*", "*", all), 3u);
+    EXPECT_EQ(all,
+              c.toCsv() + "\n" + a.toCsv() + "\n" + b.toCsv() + "\n");
 
-    EXPECT_EQ(snap->match("sigB", "*", "Cache?").size(), 1u);
-    EXPECT_EQ(snap->match("sig?", "?w*", "*").size(), 3u);
+    std::string some;
+    EXPECT_EQ(snap->matchCsv("sigB", "*", "Cache?", some), 1u);
+    EXPECT_EQ(some, a.toCsv() + "\n");
+    some.clear();
+    EXPECT_EQ(snap->matchCsv("sig?", "?w*", "*", some), 3u);
+    EXPECT_EQ(some, all);
 }
 
 TEST(Snapshot, RefusesNullRows)

@@ -95,17 +95,16 @@ smallGrid()
     return grid;
 }
 
-/** A v3 shard-cache file with one section and the given rows. */
+/** A compacted v4 shard-cache file holding @p rows under @p sig. */
 void
 writeShardFile(const std::string &path, const std::string &sig,
                const std::vector<RunMetrics> &rows)
 {
-    std::ofstream out(path, std::ios::trunc);
-    out << "# migc-sweep-v3\n";
-    out << "# config " << sig << "\n";
-    out << RunMetrics::csvHeader() << "\n";
+    std::remove(path.c_str());
+    RunCache rc(path);
     for (const auto &m : rows)
-        out << m.toCsv() << "\n";
+        rc.insert(sig, m);
+    rc.flush();
 }
 
 RunMetrics
@@ -245,9 +244,6 @@ TEST(FleetShards, ShardFilesHoldOnlyFreshRows)
         EXPECT_EQ(engine.cacheHits(), grid.size());
     }
 
-    // Count rows through RunCache so the check is format-agnostic
-    // (the shard file is v4 binary by default, csv under
-    // MIGC_CACHE_FORMAT=csv).
     EXPECT_FALSE(fileExists(shardCachePath(base, 0)));
     ASSERT_TRUE(fileExists(shardCachePath(base, 1)));
     RunCache shard_rows(shardCachePath(base, 1), 8);
@@ -285,9 +281,9 @@ TEST(ShardMerge, IdenticalRowsDedupeAcrossShards)
 TEST(ShardMerge, ZeroLengthShardFileIsAnEmptyCacheNotAParseError)
 {
     // A fleet worker SIGKILLed before its first checkpoint leaves a
-    // zero-length (or blank) shard file behind; --resume and the
-    // join merge must read it as a legitimately empty cache, not
-    // count a parse error or warn about a missing format tag.
+    // zero-length shard file behind; --resume and the join merge
+    // must read it as a legitimately empty cache, not count a parse
+    // error.
     const std::string base = tempCachePath("zerolen");
     removeCacheFamily(base, 2);
     RunMetrics row = fakeMetrics("FwSoft", "CacheRW", 4321);
@@ -304,18 +300,19 @@ TEST(ShardMerge, ZeroLengthShardFileIsAnEmptyCacheNotAParseError)
     EXPECT_FALSE(fileExists(shardCachePath(base, 1)));
     std::remove(base.c_str());
 
-    // Blank lines only (a checkpoint truncated after the newline of
-    // an earlier write) read the same way.
+    // Any non-empty shard that is not v4 - here blank lines, which
+    // no v4 writer produces - is refused, naming the text import,
+    // and the inputs stay on disk.
     removeCacheFamily(base, 1);
     {
         std::ofstream blank(shardCachePath(base, 0), std::ios::trunc);
         blank << "\n\n";
     }
-    ShardMergeStats blank_stats = mergeShardCaches(base, 1);
-    EXPECT_EQ(blank_stats.files, 1u);
-    EXPECT_EQ(blank_stats.rows, 0u);
-    EXPECT_EQ(blank_stats.parseErrors, 0u);
-    std::remove(base.c_str());
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(mergeShardCaches(base, 1), ::testing::ExitedWithCode(1),
+                "not a v4 cache.*--convert");
+    EXPECT_TRUE(fileExists(shardCachePath(base, 0)));
+    removeCacheFamily(base, 1);
 }
 
 TEST(ShardMerge, ConflictingRowsFailLoudly)
