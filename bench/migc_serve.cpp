@@ -2,12 +2,14 @@
  * @file
  * migc_serve: long-running warm-cache query service.
  *
- * Loads every section of the sweep cache into an immutable in-memory
- * snapshot and answers newline-delimited queries (exact `get` and
- * glob `match`, see docs/SERVE.md and src/serve/serve_protocol.hh)
- * without simulating anything that is already cached. Cold points
- * enqueue a simulate-on-miss job; when it finishes, a new snapshot
- * is published and the next query is a warm hit.
+ * Maps the sweep cache as an immutable v4 snapshot (or parses it,
+ * when the file holds uncompacted appends) and answers
+ * newline-delimited queries (exact `get` and glob `match`, see
+ * docs/SERVE.md and src/serve/serve_protocol.hh) without simulating
+ * anything that is already cached. Cold points enqueue a
+ * simulate-on-miss job; when it finishes, the start image plus a
+ * delta image of the fills is published and the next query is a
+ * warm hit.
  *
  * Two front ends over the same ServeService:
  *

@@ -356,29 +356,46 @@ MappedCacheV4::map(const std::string &path, std::string *why)
     auto mapped = std::shared_ptr<MappedCacheV4>(new MappedCacheV4());
     mapped->base_ = base;
     mapped->len_ = len;
-
-    std::string parse_why;
-    if (!parseV4Segment(static_cast<const char *>(base), len,
-                        mapped->seg_, &parse_why)) {
-        set_why(parse_why);
+    if (!mapped->adopt(static_cast<const char *>(base), len, why))
         return nullptr; // dtor unmaps
-    }
-    if (mapped->seg_.bytes != len) {
-        // Pending append segments (or trailing garbage): the parsing
-        // loader must fold them; a zero-copy snapshot needs the one
-        // canonical sorted run a compaction produces.
-        set_why("file is not a single compacted segment");
-        return nullptr;
-    }
-
-    const V4SegmentView &seg = mapped->seg_;
-    for (std::size_t i = 0; i < seg.rowCount; ++i) {
-        if (i == 0 || seg.keys[i].sig != seg.keys[i - 1].sig)
-            mapped->sections_.push_back(SectionRange{i, i + 1});
-        else
-            mapped->sections_.back().end = i + 1;
-    }
     return mapped;
+}
+
+std::shared_ptr<const MappedCacheV4>
+MappedCacheV4::fromBytes(std::string bytes, std::string *why)
+{
+    auto image = std::shared_ptr<MappedCacheV4>(new MappedCacheV4());
+    image->owned_ = std::move(bytes);
+    // The typed column views need 8-byte alignment. Any buffer long
+    // enough to hold a segment is past the small-string size, so it
+    // comes from operator new, which guarantees that alignment.
+    panic_if(image->owned_.size() >= kV4HeaderBytes + kV4FooterBytes &&
+                 reinterpret_cast<std::uintptr_t>(
+                     image->owned_.data()) % 8 != 0,
+             "v4 image bytes are not 8-byte aligned");
+    if (!image->adopt(image->owned_.data(), image->owned_.size(), why))
+        return nullptr;
+    return image;
+}
+
+bool
+MappedCacheV4::adopt(const char *p, std::size_t len, std::string *why)
+{
+    if (!parseV4Segment(p, len, seg_, why))
+        return false;
+    if (seg_.bytes != len) {
+        // Pending append segments (or trailing garbage): the parsing
+        // loader must fold them; an image is the one canonical
+        // sorted run a compaction produces.
+        return fail(why, "file is not a single compacted segment");
+    }
+    for (std::size_t i = 0; i < seg_.rowCount; ++i) {
+        if (i == 0 || seg_.keys[i].sig != seg_.keys[i - 1].sig)
+            sections_.push_back(SectionRange{i, i + 1});
+        else
+            sections_.back().end = i + 1;
+    }
+    return true;
 }
 
 MappedCacheV4::~MappedCacheV4()
@@ -429,6 +446,14 @@ MappedCacheV4::findRow(std::string_view sig, std::string_view workload,
         return -1;
     }
     return it - begin;
+}
+
+MappedCacheV4::KeyStrings
+MappedCacheV4::keyAt(std::size_t idx) const
+{
+    const V4Key &k = seg_.keys[idx];
+    return KeyStrings{seg_.str(k.sig), seg_.str(k.workload),
+                      seg_.str(k.policy)};
 }
 
 RunMetrics

@@ -42,6 +42,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/metrics.hh"
@@ -152,12 +153,15 @@ bool parseV4Segment(const char *p, std::size_t avail,
 std::size_t v4SegmentCount(const std::string &path);
 
 /**
- * A whole v4 cache file mapped read-only - the zero-copy base of a
- * mapped CacheSnapshot (cache_snapshot.hh). Mapping succeeds only
- * for a clean single-segment (i.e. compacted) file whose checksum
- * verifies; anything else - multi-segment files with pending
- * appends, torn tails - must go through RunCache's parsing loader
- * instead. The mapping lives until the last shared_ptr drops.
+ * One validated single-segment v4 image - the unit a CacheSnapshot
+ * (cache_snapshot.hh) is made of. It is either a cache file mapped
+ * read-only (map) or segment bytes held in memory (fromBytes: the
+ * canonical image RunCache::snapshot() builds, or the delta of fresh
+ * rows migc_serve publishes). Either way the image is one canonical
+ * sorted run whose checksum verified; multi-segment files with
+ * pending appends and torn tails do not qualify and must go through
+ * RunCache's parsing loader instead. The bytes live until the last
+ * shared_ptr drops.
  */
 class MappedCacheV4
 {
@@ -165,6 +169,12 @@ class MappedCacheV4
     /** Map @p path; nullptr (with @p why set) when not mappable. */
     static std::shared_ptr<const MappedCacheV4>
     map(const std::string &path, std::string *why);
+
+    /** Own @p bytes, one whole segment (what buildV4Segment
+     *  returns); nullptr (with @p why set) when they do not
+     *  validate. */
+    static std::shared_ptr<const MappedCacheV4>
+    fromBytes(std::string bytes, std::string *why);
 
     ~MappedCacheV4();
 
@@ -186,6 +196,14 @@ class MappedCacheV4
     std::int64_t findRow(std::string_view sig, std::string_view workload,
                          std::string_view policy) const;
 
+    /** (sig, workload, policy) of one row, as views into the image;
+     *  compares in canonical order across images. */
+    using KeyStrings = std::tuple<std::string_view, std::string_view,
+                                  std::string_view>;
+
+    /** The key strings of row @p idx. */
+    KeyStrings keyAt(std::size_t idx) const;
+
     /** One config section: key range [begin, end) in the row
      *  columns; every key in it shares keys[begin].sig. */
     struct SectionRange
@@ -206,8 +224,17 @@ class MappedCacheV4
   private:
     MappedCacheV4() = default;
 
+    /** Validate [@p p, @p p + @p len) as exactly one segment and
+     *  index its sections. */
+    bool adopt(const char *p, std::size_t len, std::string *why);
+
+    /** The mapping (map) - null for an in-memory image. */
     void *base_ = nullptr;
     std::size_t len_ = 0;
+
+    /** The bytes of an in-memory image (fromBytes). */
+    std::string owned_;
+
     V4SegmentView seg_;
     std::vector<SectionRange> sections_;
 };

@@ -69,8 +69,7 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
         std::size_t next = 0;
         bool shard = false; ///< counts toward stats.rows
     };
-    using MergeKey = std::tuple<std::string_view, std::string_view,
-                                std::string_view>;
+    using MergeKey = MappedCacheV4::KeyStrings;
 
     std::vector<Input> inputs;
     std::vector<std::string> consumed;
@@ -103,13 +102,6 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
         inputs.push_back(Input{path, std::move(file), 0, true});
     }
 
-    auto keyOf = [](const Input &in, std::size_t idx) {
-        const V4SegmentView &seg = in.file->segment();
-        const V4Key &k = seg.keys[idx];
-        return MergeKey{seg.str(k.sig), seg.str(k.workload),
-                        seg.str(k.policy)};
-    };
-
     std::vector<V4RowRef> out;
     {
         std::size_t total = 0;
@@ -128,7 +120,7 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
             const Input &in = inputs[j];
             if (in.next >= in.file->rows())
                 continue;
-            MergeKey key = keyOf(in, in.next);
+            MergeKey key = in.file->keyAt(in.next);
             if (winner < 0 || key < best) {
                 winner = static_cast<int>(j);
                 best = key;
@@ -148,7 +140,7 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
             Input &in = inputs[j];
             if (static_cast<int>(j) == winner ||
                 in.next >= in.file->rows() ||
-                keyOf(in, in.next) != best)
+                in.file->keyAt(in.next) != best)
                 continue;
             const V4Row &lrow = in.file->segment().rows[in.next];
             // Bitwise equality is the common deterministic case; on

@@ -58,78 +58,6 @@ startsWith(const std::string &s, const char *prefix)
     return s.rfind(prefix, 0) == 0;
 }
 
-/** Serialize @p snap as a v3 text cache, byte-identical to what the
- *  pre-v4 writer produced for the same rows. */
-void
-writeCsvCache(std::string &out, const CacheSnapshot &snap)
-{
-    out += kCacheTagV3;
-    out += '\n';
-    for (const auto &[sig, section] : snap.sections()) {
-        out += kSectionTag;
-        out += sig;
-        out += '\n';
-        out += RunMetrics::csvHeader();
-        out += '\n';
-        for (const auto &[key, m] : section) {
-            out += m->toCsv();
-            out += '\n';
-        }
-    }
-}
-
-/** @p snap's rows in canonical (sig, workload, policy) order, ready
- *  for buildV4Segment (the snapshot's own iteration order IS the
- *  canonical order - both maps sort lexicographically). */
-std::vector<V4RowRef>
-v4RowsOf(const CacheSnapshot &snap)
-{
-    std::vector<V4RowRef> rows;
-    rows.reserve(snap.rows());
-    for (const auto &[sig, section] : snap.sections()) {
-        for (const auto &[key, m] : section) {
-            rows.push_back(
-                V4RowRef{sig, m->workload, m->policy, packV4Row(*m)});
-        }
-    }
-    return rows;
-}
-
-/**
- * Serialize @p snap to @p path in @p format via tmp+rename: the
- * compacting write shared by save() and exportFile(). The pid suffix
- * keeps concurrent processes' tmp files private.
- */
-bool
-writeSnapshotTo(const std::string &path, const CacheSnapshot &snap,
-                CacheFormat format)
-{
-    std::string bytes;
-    if (format == CacheFormat::csv)
-        writeCsvCache(bytes, snap);
-    else
-        bytes = buildV4Segment(v4RowsOf(snap));
-    const std::string tmp = csprintf("%s.%d.tmp", path.c_str(),
-                                     static_cast<int>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr)
-        return false;
-    bool ok =
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("could not move sweep cache into place at %s",
-             path.c_str());
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 std::string
@@ -149,9 +77,7 @@ sweepCachePathFromEnv()
 RunCache::RunCache(std::string path, std::size_t checkpoint_interval)
     : path_(std::move(path)),
       checkpointInterval_(checkpoint_interval > 0 ? checkpoint_interval
-                                                  : 1),
-      log_(std::make_shared<std::deque<RunMetrics>>()),
-      base_(CacheSnapshot::empty())
+                                                  : 1)
 {
     if (enabled())
         load();
@@ -263,74 +189,43 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
                          bool classify_collisions, bool durable,
                          MergeStats &stats)
 {
-    const bool bulk =
-        log_->empty() && fresh_.empty() && base_->rows() == 0;
-    if (bulk) {
-        // Loading into an empty cache (the overwhelmingly common
-        // case: a compacted file's one big segment) skips the
-        // per-row find(): the segment is already sorted-unique in
-        // canonical order, so the index builds with end-of-map hints
-        // and publishes directly as the base snapshot.
-        CacheSnapshot::Builder b;
-        std::string sig;
-        for (std::uint64_t i = 0; i < seg.rowCount; ++i) {
-            const V4Key &k = seg.keys[i];
-            RunMetrics m;
-            const std::string_view wl = seg.str(k.workload);
-            const std::string_view pol = seg.str(k.policy);
-            m.workload.assign(wl.data(), wl.size());
-            m.policy.assign(pol.data(), pol.size());
-            unpackV4Row(seg.rows[i], m);
-            log_->push_back(std::move(m));
-            const RunMetrics *row = &log_->back();
-            const std::string_view sv = seg.str(k.sig);
-            sig.assign(sv.data(), sv.size());
-            if (b.addSorted(sig, row)) {
-                ++stats.rows;
-                if (!durable && enabled())
-                    pendingAppend_.emplace_back(sig, row);
-            } else {
-                // Duplicate key inside one segment: impossible in a
-                // file parseV4Segment accepted, but never index a
-                // row we are about to drop.
-                log_->pop_back();
-            }
-        }
-        b.retain(log_);
-        base_ = b.build();
-        return;
-    }
-
-    std::string sig, wl, pol;
+    // A segment is sorted by (sig, workload, policy): consecutive rows
+    // share a section and, loading into an empty cache, land at its
+    // end - so a compacted file's one big segment indexes without a
+    // single per-row search, and lookups use the segment's own views
+    // without copying a name.
+    Index::iterator section = index_.end();
+    std::uint32_t section_sig = 0;
     for (std::uint64_t i = 0; i < seg.rowCount; ++i) {
         const V4Key &k = seg.keys[i];
-        const std::string_view sv = seg.str(k.sig);
-        const std::string_view wv = seg.str(k.workload);
-        const std::string_view pv = seg.str(k.policy);
-        sig.assign(sv.data(), sv.size());
-        wl.assign(wv.data(), wv.size());
-        pol.assign(pv.data(), pv.size());
-        const RunMetrics *held = find(sig, wl, pol);
-        if (held == nullptr) {
-            RunMetrics m;
-            m.workload = wl;
-            m.policy = pol;
-            unpackV4Row(seg.rows[i], m);
-            appendRow(sig, std::move(m), durable);
+        if (section == index_.end() || k.sig != section_sig) {
+            const std::string_view sig = seg.str(k.sig);
+            section = index_.find(sig);
+            if (section == index_.end())
+                section = index_.emplace(std::string(sig), Section{}).first;
+            section_sig = k.sig;
+        }
+        const RowKey key{seg.str(k.workload), seg.str(k.policy)};
+        const Section::iterator pos = locate(section->second, key);
+        const bool held =
+            pos != section->second.end() && pos->first == key;
+        if (held && !classify_collisions) {
+            ++stats.duplicates;
+            continue;
+        }
+        RunMetrics m;
+        m.workload.assign(key.first.data(), key.first.size());
+        m.policy.assign(key.second.data(), key.second.size());
+        unpackV4Row(seg.rows[i], m);
+        if (!held) {
+            appendRow(section, pos, std::move(m), durable);
             ++stats.rows;
-        } else if (!classify_collisions) {
+        } else if (pos->second->toCsv() == m.toCsv()) {
+            // The serialized forms decide, the same dup/conflict test
+            // as the text import and the k-way shard merge.
             ++stats.duplicates;
         } else {
-            // Compare the serialized forms, the same dup/conflict
-            // test as the text import and the k-way shard merge.
-            RunMetrics m;
-            m.workload = wl;
-            m.policy = pol;
-            unpackV4Row(seg.rows[i], m);
-            if (held->toCsv() == m.toCsv())
-                ++stats.duplicates;
-            else
-                ++stats.conflicts;
+            ++stats.conflicts;
         }
     }
 }
@@ -387,11 +282,7 @@ RunCache::save()
     warnMergeProblems(path_,
                       mergeFromFile(path_,
                                     /*classify_collisions=*/false));
-    // Publish pending rows (including what the merge just pulled in)
-    // so one sorted index covers everything; the snapshot's
-    // canonical section/row order is the file's serialization order.
-    std::shared_ptr<const CacheSnapshot> snap = snapshot();
-    if (!writeSnapshotTo(path_, *snap, CacheFormat::v4))
+    if (!writeTo(path_, CacheFormat::v4))
         return false;
     pendingAppend_.clear();
     appendedSinceCompact_ = false;
@@ -407,13 +298,71 @@ RunCache::exportFile(const std::string &path, CacheFormat format)
              "refusing to overwrite sweep cache %s with csv text (a "
              "RunCache reads only v4); export to another path",
              path.c_str());
-    if (!writeSnapshotTo(path, *snapshot(), format))
+    if (!writeTo(path, format))
         return false;
     if (own) {
         // The export just compacted our own file.
         pendingAppend_.clear();
         appendedSinceCompact_ = false;
         fileState_ = FileState::clean;
+    }
+    return true;
+}
+
+std::string
+RunCache::serialize(CacheFormat format) const
+{
+    if (format == CacheFormat::v4) {
+        std::vector<V4RowRef> rows;
+        rows.reserve(log_.size());
+        for (const auto &[sig, section] : index_) {
+            for (const auto &[key, m] : section) {
+                rows.push_back(V4RowRef{sig, key.first, key.second,
+                                        packV4Row(*m)});
+            }
+        }
+        return buildV4Segment(rows);
+    }
+    // v3 text, byte-identical to what the pre-v4 writer produced for
+    // the same rows.
+    std::string out = kCacheTagV3;
+    out += '\n';
+    for (const auto &[sig, section] : index_) {
+        out += kSectionTag;
+        out += sig;
+        out += '\n';
+        out += RunMetrics::csvHeader();
+        out += '\n';
+        for (const auto &[key, m] : section) {
+            out += m->toCsv();
+            out += '\n';
+        }
+    }
+    return out;
+}
+
+bool
+RunCache::writeTo(const std::string &path, CacheFormat format) const
+{
+    // The pid suffix keeps concurrent processes' tmp files private.
+    const std::string bytes = serialize(format);
+    const std::string tmp = csprintf("%s.%d.tmp", path.c_str(),
+                                     static_cast<int>(::getpid()));
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (f == nullptr)
+        return false;
+    bool ok =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    ok = (std::fclose(f) == 0) && ok;
+    if (!ok) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        warn("could not move sweep cache into place at %s",
+             path.c_str());
+        std::remove(tmp.c_str());
+        return false;
     }
     return true;
 }
@@ -467,14 +416,25 @@ RunCache::checkpoint()
     save();
 }
 
-const RunMetrics *
-RunCache::appendRow(const std::string &sig, RunMetrics m, bool durable)
+RunCache::Section::iterator
+RunCache::locate(Section &section, const RowKey &key)
 {
-    log_->push_back(std::move(m));
-    const RunMetrics *row = &log_->back();
-    fresh_[sig].emplace(Key{row->workload, row->policy}, row);
+    if (section.empty() || std::prev(section.end())->first < key)
+        return section.end();
+    return section.lower_bound(key);
+}
+
+const RunMetrics *
+RunCache::appendRow(Index::iterator section, Section::iterator hint,
+                    RunMetrics m, bool durable)
+{
+    log_.push_back(std::move(m));
+    const RunMetrics *row = &log_.back();
+    section->second.emplace_hint(hint, RowKey{row->workload, row->policy},
+                                 row);
     if (!durable && enabled())
-        pendingAppend_.emplace_back(sig, row);
+        pendingAppend_.emplace_back(section->first, row);
+    snapshot_.reset();
     return row;
 }
 
@@ -482,13 +442,11 @@ const RunMetrics *
 RunCache::find(const std::string &sig, const std::string &workload,
                const std::string &policy) const
 {
-    auto sit = fresh_.find(sig);
-    if (sit != fresh_.end()) {
-        auto rit = sit->second.find(Key{workload, policy});
-        if (rit != sit->second.end())
-            return rit->second;
-    }
-    return base_->find(sig, workload, policy);
+    auto sit = index_.find(sig);
+    if (sit == index_.end())
+        return nullptr;
+    auto rit = sit->second.find(RowKey{workload, policy});
+    return rit == sit->second.end() ? nullptr : rit->second;
 }
 
 const RunMetrics &
@@ -500,9 +458,15 @@ RunCache::insert(const std::string &sig, RunMetrics m)
              "workload name 'workload' cannot key the run cache: its "
              "rows would start with the CSV header prefix "
              "\"workload,\" and be skipped on reload");
-    if (const RunMetrics *held = find(sig, m.workload, m.policy))
-        return *held; // first write wins
-    const RunMetrics *stored = appendRow(sig, std::move(m));
+    auto section = index_.find(sig);
+    if (section == index_.end())
+        section = index_.emplace(sig, Section{}).first;
+    const RowKey key{m.workload, m.policy};
+    const Section::iterator pos = locate(section->second, key);
+    if (pos != section->second.end() && pos->first == key)
+        return *pos->second; // first write wins
+    const RunMetrics *stored =
+        appendRow(section, pos, std::move(m), /*durable=*/false);
     // Amortized durability: every K inserts, append the fresh rows
     // to the file (O(fresh) bytes - NOT a whole-file rewrite, which
     // would make an N-row sweep cost O(N^2) checkpoint bytes).
@@ -514,34 +478,24 @@ RunCache::insert(const std::string &sig, RunMetrics m)
 std::shared_ptr<const CacheSnapshot>
 RunCache::snapshot()
 {
-    if (!fresh_.empty()) {
-        // Rebuild the index from scratch rather than addAll(base_):
-        // every row lives in log_, so retaining the log alone keeps
-        // the new snapshot self-contained and lets superseded
-        // snapshots die with their last reader instead of chaining.
-        CacheSnapshot::Builder b;
-        for (const auto &[sig, section] : base_->sections()) {
-            for (const auto &[key, row] : section)
-                b.add(sig, row);
-        }
-        for (const auto &[sig, section] : fresh_) {
-            for (const auto &[key, row] : section)
-                b.add(sig, row);
-        }
-        b.retain(log_);
-        base_ = b.build();
-        fresh_.clear();
+    if (snapshot_ == nullptr) {
+        std::string why;
+        auto image = MappedCacheV4::fromBytes(
+            serialize(CacheFormat::v4), &why);
+        panic_if(image == nullptr, "run cache built an invalid v4 "
+                 "image: %s", why.c_str());
+        snapshot_ = CacheSnapshot::fromImages({std::move(image)});
     }
-    return base_;
+    return snapshot_;
 }
 
 double
 RunCache::estimateEvents(const std::string &workload,
                          const std::string &policy) const
 {
-    double best = base_->estimateEvents(workload, policy);
-    for (const auto &[sig, section] : fresh_) {
-        auto it = section.find(Key{workload, policy});
+    double best = 0.0;
+    for (const auto &[sig, section] : index_) {
+        auto it = section.find(RowKey{workload, policy});
         if (it != section.end() && it->second->simEvents > best)
             best = it->second->simEvents;
     }
@@ -572,10 +526,7 @@ RunCache::saveNow()
 std::size_t
 RunCache::size() const
 {
-    std::size_t n = base_->rows();
-    for (const auto &[sig, section] : fresh_)
-        n += section.size();
-    return n;
+    return log_.size();
 }
 
 RunCache::MergeStats
@@ -1135,17 +1086,7 @@ std::shared_ptr<const CacheSnapshot>
 SweepEngine::snapshot()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::shared_ptr<const CacheSnapshot> own = cache().snapshot();
-    std::shared_ptr<const CacheSnapshot> side = warm_.snapshot();
-    if (side->rows() == 0)
-        return own;
-    // Union with the warm side store, writable rows winning - the
-    // same precedence findCached() applies. addAll retains both
-    // inputs, so the merged snapshot keeps their row stores alive.
-    CacheSnapshot::Builder b;
-    b.addAll(own);
-    b.addAll(side);
-    return b.build();
+    return cache().snapshot();
 }
 
 } // namespace migc

@@ -46,6 +46,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -150,16 +151,15 @@ struct FleetWorkerSpec
  * An empty path disables disk I/O; results are then memoized in
  * memory only (the MIGC_NO_CACHE=1 behavior).
  *
- * Internally the cache is an append-only row store plus an immutable
- * index: rows land in a log (a deque whose elements never move) and
- * are indexed either by the published CacheSnapshot (`base_`) or by
- * the not-yet-published append index (`fresh_`). snapshot() folds
- * the append index into a new immutable snapshot and swaps it in -
- * that snapshot can then be queried by any number of threads with no
- * locking while this cache keeps inserting (see cache_snapshot.hh
- * and docs/SERVE.md). Row pointers handed out by find()/insert()
- * stay valid for the cache's lifetime (and beyond it, for as long as
- * any snapshot lives - snapshots retain the row store).
+ * Internally the cache is a row log plus one sorted index: rows land
+ * in a deque whose elements never move, so row pointers handed out by
+ * find()/insert() stay valid for the cache's lifetime, and the index
+ * keeps them in canonical (signature, workload, policy) order - the
+ * order save(), exportFile() and snapshot() serialize. snapshot()
+ * returns the canonical single-segment v4 image of the rows, the
+ * same bytes a compacting save writes, as an immutable CacheSnapshot
+ * that any number of threads can query with no locking (see
+ * cache_snapshot.hh and docs/SERVE.md).
  *
  * The mutating API is not internally synchronized: the owning engine
  * serializes writers. Published snapshots are safe to read from
@@ -277,12 +277,12 @@ class RunCache
     void checkpoint();
 
     /**
-     * The current contents as an immutable snapshot: publishes any
-     * append-log rows into a fresh CacheSnapshot, swaps it in, and
-     * returns it. The returned snapshot is safe for concurrent
-     * lock-free reads and stays valid (rows included) independent of
-     * this cache's later inserts or destruction. Cheap when nothing
-     * was appended since the last call (returns the held snapshot).
+     * The current contents as an immutable snapshot: one in-memory
+     * image holding the canonical v4 segment of every row, the bytes
+     * a compacting save would write. Safe for concurrent lock-free
+     * reads and independent of this cache's later inserts or
+     * destruction. O(rows) to build; cheap when nothing was added
+     * since the last call (returns the held snapshot).
      */
     std::shared_ptr<const CacheSnapshot> snapshot();
 
@@ -304,10 +304,15 @@ class RunCache
     std::size_t size() const;
 
   private:
-    using Key = CacheSnapshot::Key;
+    /** (workload, policy) as views into the indexed row's own
+     *  names, which never move (see log_). */
+    using RowKey = std::pair<std::string_view, std::string_view>;
 
-    /** Index of appended-but-unpublished rows in one section. */
-    using FreshSection = std::map<Key, const RunMetrics *>;
+    /** One config section: its rows, sorted by (workload, policy). */
+    using Section = std::map<RowKey, const RunMetrics *>;
+
+    /** Sections by config signature, sorted. */
+    using Index = std::map<std::string, Section, std::less<>>;
 
     /** What the on-disk file currently is, as far as appends care:
      *  only a clean file takes appends; a damaged one forces the
@@ -347,22 +352,37 @@ class RunCache
     static void warnMergeProblems(const std::string &path,
                                   const MergeStats &stats);
 
-    /** Compacting rewrite: pre-merge the file, then write the whole
-     *  snapshot via tmp+rename. @return true when the file reached
-     *  disk (or I/O is off). */
+    /** Compacting rewrite: pre-merge the file, then write every row
+     *  via tmp+rename. @return true when the file reached disk (or
+     *  I/O is off). */
     bool save();
+
+    /** Every row in canonical order as @p format: one v4 segment,
+     *  or v3 csv text. */
+    std::string serialize(CacheFormat format) const;
+
+    /** Write serialize(@p format) to @p path via tmp+rename. */
+    bool writeTo(const std::string &path, CacheFormat format) const;
 
     /** Append pendingAppend_ as one v4 segment at the end of the
      *  file. @return false when the write failed (the
      *  caller falls back to save()). */
     bool appendPending();
 
-    /** Append @p m to the row log and index it in fresh_; the row
-     *  address is stable for the log's lifetime. @p durable marks
-     *  rows that are already bytes in this cache's own file (initial
-     *  load / pre-write merge) and therefore never need appending. */
-    const RunMetrics *appendRow(const std::string &sig, RunMetrics m,
-                                bool durable = false);
+    /** Where (workload, policy) sits in @p section: the held entry,
+     *  or the insertion hint. Keys arriving in canonical order hit
+     *  the end of the section without a search. */
+    static Section::iterator locate(Section &section,
+                                    const RowKey &key);
+
+    /** Append @p m to the row log and index it in @p section at
+     *  @p hint (from locate(); the key must be absent). @p durable
+     *  marks rows that are already bytes in this cache's own file
+     *  (initial load / pre-write merge) and therefore never need
+     *  appending. @return the stored row. */
+    const RunMetrics *appendRow(Index::iterator section,
+                                Section::iterator hint, RunMetrics m,
+                                bool durable);
 
     std::string path_;
     std::size_t checkpointInterval_;
@@ -376,8 +396,9 @@ class RunCache
     bool loadedFile_ = false;
 
     /** Rows inserted/merged since the last durable write of this
-     *  file, in arrival order: exactly what checkpoint() appends. */
-    std::vector<std::pair<std::string, const RunMetrics *>>
+     *  file, in arrival order: exactly what checkpoint() appends.
+     *  Signatures view index_ keys. */
+    std::vector<std::pair<std::string_view, const RunMetrics *>>
         pendingAppend_;
 
     /** True when checkpoint() appended since the last compaction,
@@ -391,21 +412,17 @@ class RunCache
      *  counts twice. */
     std::set<std::string> badLines_;
 
-    /**
-     * The append log: every row this cache ever learned (from disk
-     * or insert()), in arrival order. A deque never relocates
-     * elements, so `const RunMetrics *` handed to snapshots and
-     * callers stay valid across appends. Held by shared_ptr because
-     * every published snapshot retains it.
-     */
-    std::shared_ptr<std::deque<RunMetrics>> log_;
+    /** Every row this cache ever learned (from disk or insert()),
+     *  in arrival order. A deque never relocates elements, so row
+     *  pointers - and the index's views of row names - stay valid. */
+    std::deque<RunMetrics> log_;
 
-    /** Immutable index over the published prefix of log_. */
-    std::shared_ptr<const CacheSnapshot> base_;
+    /** The one index over log_. */
+    Index index_;
 
-    /** Index of rows appended since the last publish (pointers into
-     *  log_); folded into base_ by snapshot(). */
-    std::map<std::string, FreshSection> fresh_;
+    /** snapshot()'s image of the current rows; reset by every
+     *  appendRow(). */
+    std::shared_ptr<const CacheSnapshot> snapshot_;
 };
 
 /**
@@ -518,12 +535,12 @@ class SweepEngine
     void flush();
 
     /**
-     * Immutable snapshot of everything this engine can currently
-     * answer from memory: the writable cache unioned with the warm
-     * side store (writable rows win, matching findCached). Safe for
-     * concurrent lock-free queries; stays valid independent of later
-     * engine activity. This is the serving surface of migc_serve
-     * (src/serve/).
+     * Immutable snapshot of the writable cache (RunCache::snapshot):
+     * its canonical v4 image, safe for concurrent lock-free queries
+     * and valid independent of later engine activity. A fleet
+     * worker's warm side store is not part of it - no serving engine
+     * is a fleet worker. migc_serve (src/serve/) starts from this
+     * image when its cache file cannot be mapped.
      */
     std::shared_ptr<const CacheSnapshot> snapshot();
 

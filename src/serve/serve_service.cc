@@ -35,15 +35,14 @@ ServeService::ServeService(SweepEngine &engine, Options opts)
     // Zero-copy start when possible: map the cache file and serve
     // straight from its interned columns, deferring the engine's
     // parsing loader to the first cold miss. Any non-mappable file
-    // (appended-but-not-compacted v4, torn tail, missing) takes the
-    // classic parse-into-snapshot path, where a non-v4 file is
+    // (appended-but-not-compacted v4, torn tail, missing) starts on
+    // the engine's canonical image instead, where a non-v4 file is
     // refused (see RunCache).
     const auto t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const CacheSnapshot> snap;
     if (!opts_.cachePath.empty()) {
         std::string why;
         if (auto file = MappedCacheV4::map(opts_.cachePath, &why)) {
-            snap = CacheSnapshot::fromMappedFile(std::move(file));
+            start_ = CacheSnapshot::fromMappedFile(std::move(file));
             format_ = "v4-mmap";
         } else {
             inform("serve: cache %s is not mmap-servable (%s); "
@@ -51,12 +50,12 @@ ServeService::ServeService(SweepEngine &engine, Options opts)
                    opts_.cachePath.c_str(), why.c_str());
         }
     }
-    if (snap == nullptr) {
-        snap = engine_.snapshot();
+    if (start_ == nullptr) {
+        start_ = engine_.snapshot();
         format_ = engine_.cacheFileFormat();
     }
     loadMs_ = msSince(t0);
-    snapshot_.store(std::move(snap));
+    snapshot_.store(start_);
 
     presets_.emplace("default", SimConfig::defaultConfig());
     presets_.emplace("paper", SimConfig::paperConfig());
@@ -103,10 +102,6 @@ ServeService::handleGet(const ServeRequest &req)
     std::string sig;
     const SimConfig *cfg = configFor(req.config, sig);
     std::shared_ptr<const CacheSnapshot> snap = snapshot_.load();
-    // findCsv works on both snapshot representations: a mapped
-    // snapshot answers by interned-id binary search with no
-    // materialized rows to point at, so the serialization-level
-    // query is the one serving interface.
     std::string out;
     if (snap->findCsv(sig, req.workload, req.policy, out)) {
         served_.fetch_add(1, std::memory_order_relaxed);
@@ -177,7 +172,7 @@ ServeService::handleMatch(const ServeRequest &req)
     std::shared_ptr<const CacheSnapshot> snap = snapshot_.load();
     std::string out;
     // matchCsv evaluates each glob once per distinct interned string
-    // on a mapped snapshot (not once per row) before scanning keys.
+    // (not once per row) before scanning keys.
     const std::size_t n =
         snap->matchCsv(sig_pattern, req.workload, req.policy, out);
     served_.fetch_add(n, std::memory_order_relaxed);
@@ -272,18 +267,19 @@ ServeService::missWorker()
             queue_.pop_front();
         }
         try {
-            engine_.get(job.cfg, job.workload, job.policy);
+            fills_.insert(std::get<0>(job.key),
+                          engine_.get(job.cfg, job.workload, job.policy));
         } catch (const std::exception &e) {
             warn("simulate-on-miss for %s/%s failed: %s",
                  job.workload.c_str(), job.policy.c_str(), e.what());
         }
-        // Publish before erasing from pending_ (see handleGet). On a
-        // service that started mmap'd, the first publish is also the
-        // switch to a materialized snapshot: engine_.snapshot() made
-        // the engine parse the cache file (same rows, plus the fresh
-        // one), so nothing the mapped snapshot served is lost.
+        // Publish before erasing from pending_ (see handleGet): the
+        // start images plus one delta image of every fill so far -
+        // O(fills), however large the cache.
         const auto t0 = std::chrono::steady_clock::now();
-        snapshot_.store(engine_.snapshot());
+        std::vector<CacheSnapshot::Image> images = start_->images();
+        images.push_back(fills_.snapshot()->images().front());
+        snapshot_.store(CacheSnapshot::fromImages(std::move(images)));
         const double publish_ms = msSince(t0);
         {
             std::lock_guard<std::mutex> lk(missMu_);

@@ -17,10 +17,14 @@
  *    the next query is a warm hit. `wait` blocks until the queue
  *    drains.
  *
- *  - Placeholder rows are refused twice over: CacheSnapshot::Builder
- *    never indexes one, and the miss path re-checks the flag on
- *    whatever the engine returns - an all-zero shard stand-in is
- *    served to nobody.
+ *  - The served set is the start image plus this service's own
+ *    fills. The start image is the mapped cache file, or the
+ *    engine's canonical image when the file is not mappable; each
+ *    publish layers one delta image, rebuilt from the fills, over it
+ *    (the start image wins a shared key), so a publish costs
+ *    O(fills), never O(cache). Every served row is byte-identical to
+ *    the csv export line of the same row; rows another writer adds
+ *    to the cache file after startup are not served.
  *
  * handleLine() is safe to call from any number of threads (the
  * socket front end runs one thread per connection).
@@ -59,13 +63,12 @@ class ServeService
 
         /**
          * The cache file backing @p engine. When set and the file is
-         * a clean single-segment v4 cache, the service starts on a
-         * zero-copy mmap'd snapshot (cache_v4.hh): serving begins
-         * after a map + checksum pass instead of a full parse, and
-         * the engine's own loader runs only if a cold miss needs a
-         * simulation (the first publish then swaps in a materialized
-         * snapshot). Unset - or any non-mappable file - falls back
-         * to engine.snapshot(), which parses the cache.
+         * a clean single-segment v4 cache, the service starts on the
+         * mapped file (cache_v4.hh): serving begins after a map +
+         * checksum pass instead of a full parse, and the engine's
+         * own loader runs only if a cold miss needs a simulation.
+         * Unset - or any non-mappable file - starts on
+         * engine.snapshot(), which parses the cache.
          */
         std::string cachePath;
     };
@@ -148,6 +151,15 @@ class ServeService
     /** Preset configs by name and by signature. */
     std::map<std::string, SimConfig> presets_;
     std::map<std::string, std::string> sigToPreset_;
+
+    /** The snapshot the service started on; every publish layers
+     *  the fills over its images. Set once in the ctor. */
+    std::shared_ptr<const CacheSnapshot> start_;
+
+    /** This service's own simulate-on-miss results (memory-only);
+     *  its snapshot() is the delta image of each publish. Touched
+     *  only by the miss worker. */
+    RunCache fills_{std::string()};
 
     /** The serving surface; load() to query, store() to publish. */
     std::atomic<std::shared_ptr<const CacheSnapshot>> snapshot_;

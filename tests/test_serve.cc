@@ -1,23 +1,27 @@
 /** @file Tests for the warm-cache serve layer and the input
  *  validation around it: glob matching, CacheSnapshot semantics
- *  (immutability, first-wins, row lifetime past the owning cache),
- *  the RunCache snapshot/append-log split, the ServeService protocol
- *  (warm hits, simulate-on-miss with exactly-one-enqueue, glob
- *  queries), a concurrent reader/writer torture test, and the fatal
- *  paths for malformed MIGC_JOBS values and cache-unsafe registry
- *  names. */
+ *  (immutability, first-image-wins, the canonical merge of several
+ *  images, snapshots outliving the owning cache), the ServeService
+ *  protocol (warm hits, simulate-on-miss with exactly-one-enqueue,
+ *  glob queries), mapped and fallback starts from a cache file whose
+ *  fills serve byte-identically to the flushed cache's export, a
+ *  concurrent reader/writer torture test, and the fatal paths for
+ *  malformed MIGC_JOBS values and cache-unsafe registry names. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/cache_snapshot.hh"
+#include "core/cache_v4.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
 #include "policy/policy_registry.hh"
@@ -150,20 +154,25 @@ TEST(Snapshot, BuildsFirstWinsIndexInCanonicalOrder)
     RunMetrics a = fakeMetrics("FwBN", "CacheR", 10);
     RunMetrics b = fakeMetrics("FwBN", "Uncached", 20);
     RunMetrics c = fakeMetrics("BwBN", "CacheR", 30);
-    RunMetrics dup = fakeMetrics("FwBN", "CacheR", 999);
 
-    CacheSnapshot::Builder builder;
-    EXPECT_TRUE(builder.add("sigB", &a));
-    EXPECT_TRUE(builder.add("sigB", &b));
-    EXPECT_TRUE(builder.add("sigA", &c));
-    EXPECT_FALSE(builder.add("sigB", &dup)) << "first add must win";
-    auto snap = builder.build();
+    RunCache cache{std::string()}; // memory-only
+    cache.insert("sigB", a);
+    cache.insert("sigB", b);
+    cache.insert("sigA", c);
+    EXPECT_EQ(cache.insert("sigB", fakeMetrics("FwBN", "CacheR", 999))
+                  .execTicks,
+              10u)
+        << "first insert must win";
+    auto snap = cache.snapshot();
 
     EXPECT_EQ(snap->rows(), 3u);
-    ASSERT_NE(snap->find("sigB", "FwBN", "CacheR"), nullptr);
-    EXPECT_EQ(snap->find("sigB", "FwBN", "CacheR")->execTicks, 10u);
-    EXPECT_EQ(snap->find("sigB", "FwBN", "Missing"), nullptr);
-    EXPECT_EQ(snap->find("nosig", "FwBN", "CacheR"), nullptr);
+    EXPECT_EQ(snap->sectionCount(), 2u);
+    std::string row;
+    ASSERT_TRUE(snap->findCsv("sigB", "FwBN", "CacheR", row));
+    EXPECT_EQ(row, a.toCsv());
+    EXPECT_FALSE(snap->findCsv("sigB", "FwBN", "Missing", row));
+    EXPECT_FALSE(snap->findCsv("nosig", "FwBN", "CacheR", row));
+    EXPECT_EQ(row, a.toCsv()) << "a miss must append nothing";
 
     // match order: signature, then workload, then policy.
     std::string all;
@@ -179,13 +188,66 @@ TEST(Snapshot, BuildsFirstWinsIndexInCanonicalOrder)
     EXPECT_EQ(some, all);
 }
 
-TEST(Snapshot, RefusesNullRows)
+TEST(Snapshot, FirstImageWinsAndMatchMergesInCanonicalOrder)
 {
-    CacheSnapshot::Builder builder;
-    EXPECT_FALSE(builder.add("sig", nullptr));
-    EXPECT_FALSE(builder.addSorted("sig", nullptr));
-    EXPECT_EQ(builder.build()->rows(), 0u);
-    EXPECT_EQ(CacheSnapshot::empty()->rows(), 0u);
+    RunCache first{std::string()};
+    first.insert("sigB", fakeMetrics("FwBN", "CacheR", 10));
+    first.insert("sigA", fakeMetrics("FwSoft", "Uncached", 30));
+    RunCache second{std::string()};
+    second.insert("sigB", fakeMetrics("FwBN", "CacheR", 999)); // shared
+    second.insert("sigB", fakeMetrics("BwBN", "CacheR", 20));
+    second.insert("sigC", fakeMetrics("FwBN", "CacheRW", 40));
+    const CacheSnapshot::Image a = first.snapshot()->images().front();
+    const CacheSnapshot::Image b = second.snapshot()->images().front();
+
+    auto snap = CacheSnapshot::fromImages({a, b});
+    EXPECT_EQ(snap->rows(), 4u) << "a shared key counts once";
+    EXPECT_EQ(snap->sectionCount(), 3u);
+    std::string row;
+    ASSERT_TRUE(snap->findCsv("sigB", "FwBN", "CacheR", row));
+    EXPECT_EQ(row, fakeMetrics("FwBN", "CacheR", 10).toCsv())
+        << "the first image holding a key must answer it";
+    row.clear();
+    ASSERT_TRUE(snap->findCsv("sigB", "BwBN", "CacheR", row));
+    EXPECT_EQ(row, fakeMetrics("BwBN", "CacheR", 20).toCsv());
+
+    // The merge interleaves both images in canonical order and drops
+    // the second image's copy of the shared key.
+    std::string all;
+    ASSERT_EQ(snap->matchCsv("*", "*", "*", all), 4u);
+    EXPECT_EQ(all, fakeMetrics("FwSoft", "Uncached", 30).toCsv() + "\n" +
+                       fakeMetrics("BwBN", "CacheR", 20).toCsv() + "\n" +
+                       fakeMetrics("FwBN", "CacheR", 10).toCsv() + "\n" +
+                       fakeMetrics("FwBN", "CacheRW", 40).toCsv() + "\n");
+    std::string some;
+    ASSERT_EQ(snap->matchCsv("sigB", "*", "CacheR", some), 2u);
+    EXPECT_EQ(some, fakeMetrics("BwBN", "CacheR", 20).toCsv() + "\n" +
+                        fakeMetrics("FwBN", "CacheR", 10).toCsv() + "\n");
+
+    // Precedence follows image order, not image contents.
+    auto swapped = CacheSnapshot::fromImages({b, a});
+    row.clear();
+    ASSERT_TRUE(swapped->findCsv("sigB", "FwBN", "CacheR", row));
+    EXPECT_EQ(row, fakeMetrics("FwBN", "CacheR", 999).toCsv());
+    some.clear();
+    ASSERT_EQ(swapped->matchCsv("*", "*", "*", some), 4u);
+    EXPECT_NE(some.find(row + "\n"), std::string::npos);
+}
+
+TEST(Snapshot, EmptySnapshotsAnswerNothing)
+{
+    RunCache cache{std::string()};
+    for (const auto &snap :
+         {CacheSnapshot::fromImages({}), cache.snapshot()}) {
+        std::string out;
+        EXPECT_EQ(snap->rows(), 0u);
+        EXPECT_EQ(snap->sectionCount(), 0u);
+        EXPECT_FALSE(snap->findCsv("sig", "FwBN", "CacheR", out));
+        EXPECT_EQ(snap->matchCsv("*", "*", "*", out), 0u);
+        EXPECT_EQ(out, "");
+    }
+    EXPECT_EQ(cache.snapshot()->images().size(), 1u)
+        << "an empty cache is one zero-row image";
 }
 
 TEST(Snapshot, RunCachePublishesImmutableViews)
@@ -196,15 +258,17 @@ TEST(Snapshot, RunCachePublishesImmutableViews)
     auto first = cache.snapshot();
     EXPECT_EQ(first->rows(), 1u);
     EXPECT_EQ(cache.snapshot().get(), first.get())
-        << "no appends since publish: snapshot() must be free";
+        << "no inserts since the last call: snapshot() must be free";
 
     cache.insert("sig", fakeMetrics("FwBN", "Uncached", 20));
     auto second = cache.snapshot();
     EXPECT_EQ(first->rows(), 1u)
         << "published snapshots must never change";
     EXPECT_EQ(second->rows(), 2u);
-    EXPECT_EQ(first->find("sig", "FwBN", "Uncached"), nullptr);
-    ASSERT_NE(second->find("sig", "FwBN", "Uncached"), nullptr);
+    std::string row;
+    EXPECT_FALSE(first->findCsv("sig", "FwBN", "Uncached", row));
+    ASSERT_TRUE(second->findCsv("sig", "FwBN", "Uncached", row));
+    EXPECT_EQ(row, fakeMetrics("FwBN", "Uncached", 20).toCsv());
 }
 
 TEST(Snapshot, RowsOutliveTheOwningCache)
@@ -215,19 +279,17 @@ TEST(Snapshot, RowsOutliveTheOwningCache)
         cache.insert("sig", fakeMetrics("FwBN", "CacheR", 42));
         snap = cache.snapshot();
     }
-    const RunMetrics *row = snap->find("sig", "FwBN", "CacheR");
-    ASSERT_NE(row, nullptr);
-    EXPECT_EQ(row->execTicks, 42u);
-    EXPECT_EQ(row->toCsv(),
-              fakeMetrics("FwBN", "CacheR", 42).toCsv());
+    std::string row;
+    ASSERT_TRUE(snap->findCsv("sig", "FwBN", "CacheR", row));
+    EXPECT_EQ(row, fakeMetrics("FwBN", "CacheR", 42).toCsv());
 }
 
-TEST(Snapshot, FindPrefersUnpublishedAppendsOverNothing)
+TEST(Snapshot, CacheFindSeesRowsAddedAfterASnapshot)
 {
     RunCache cache{std::string()};
-    cache.snapshot(); // publish the empty base
+    cache.snapshot(); // image of the empty cache
     cache.insert("sig", fakeMetrics("FwBN", "CacheR", 7));
-    // find() must see the append-log row before it is published...
+    // find() answers from the cache's own index, not a snapshot...
     ASSERT_NE(cache.find("sig", "FwBN", "CacheR"), nullptr);
     EXPECT_EQ(cache.estimateEvents("FwBN", "CacheR"), 0.0);
     EXPECT_EQ(cache.size(), 1u);
@@ -577,38 +639,134 @@ TEST(ServeService, TortureConcurrentReadersDuringMissInserts)
 }
 
 // ---------------------------------------------------------------------
-// SweepEngine::snapshot
+// ServeService over a cache file (Options::cachePath)
 // ---------------------------------------------------------------------
 
-TEST(EngineSnapshot, UnionsWarmSideStoreWithWritableCache)
+namespace
 {
-    // A fleet worker warm-imports the canonical cache; its snapshot
-    // must serve those rows alongside its own fresh ones.
-    const auto &expected = expectedRows();
-    std::string canonical = tempCachePath("engine_snap");
-    std::remove(canonical.c_str());
-    std::vector<RunRequest> grid = smallGrid();
-    const RunRequest fresh = grid.back();
-    grid.pop_back();
-    {
-        SweepEngine warmup(canonical);
-        warmup.run(grid);
-    }
 
-    // Every point but one comes from the warm import; the last is
-    // simulated into the worker's writable shard cache.
-    SweepEngine worker(canonical, FleetWorkerSpec{0});
-    worker.get(fresh.cfg, fresh.workload, fresh.policy);
-    EXPECT_EQ(worker.simulationsPerformed(), 1u);
-    auto snap = worker.snapshot();
-    EXPECT_EQ(snap->rows(), expected.size());
-    std::string sig = SimConfig::testConfig().signature();
-    for (const auto &[key, csv] : expected) {
-        const RunMetrics *row =
-            snap->find(sig, key.first, key.second);
-        ASSERT_NE(row, nullptr);
-        EXPECT_EQ(row->toCsv(), csv);
+/** @p text without its '#' status/comment lines and csv headers. */
+std::string
+dataLines(const std::string &text)
+{
+    std::string out;
+    std::size_t start = 0;
+    while (start < text.size()) {
+        std::size_t nl = text.find('\n', start);
+        if (nl == std::string::npos)
+            nl = text.size() - 1;
+        const std::string line = text.substr(start, nl + 1 - start);
+        start = nl + 1;
+        if (line[0] != '#' && line.rfind("workload,", 0) != 0)
+            out += line;
     }
-    std::remove(canonical.c_str());
-    std::remove(shardCachePath(canonical, 0).c_str());
+    return out;
+}
+
+/** The data rows of the csv export of the cache at @p path. */
+std::string
+exportedRows(const std::string &path)
+{
+    const std::string csv = path + ".export.csv";
+    {
+        RunCache cache(path);
+        EXPECT_TRUE(cache.exportFile(csv, CacheFormat::csv));
+    }
+    std::ifstream in(csv, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::remove(csv.c_str());
+    return dataLines(ss.str());
+}
+
+/**
+ * Fill two cold test-config points through @p service, flush
+ * @p engine, and check that `match * * *` answers exactly the data
+ * rows of the flushed cache's csv export: the start image and the
+ * fills delta merge to what the file holds.
+ */
+void
+fillTwiceAndMatchTheExport(SweepEngine &engine, ServeService &service,
+                           const std::string &path,
+                           std::size_t rows_before)
+{
+    const auto &expected = expectedRows();
+    for (const char *policy : {"Uncached", "CacheR"}) {
+        const std::string get = std::string("get test FwBN ") + policy;
+        EXPECT_EQ(service.handleLine(get).rfind("# miss", 0), 0u);
+        EXPECT_EQ(service.handleLine("wait"), "# drained\n");
+        EXPECT_EQ(service.handleLine(get),
+                  expected.at({"FwBN", policy}) + "\n");
+    }
+    EXPECT_EQ(service.missEnqueues(), 2u);
+    EXPECT_EQ(service.snapshotRows(), rows_before + 2);
+    EXPECT_NE(service.handleLine("stats").find(" publishes=2 "),
+              std::string::npos);
+
+    const std::string matched = service.handleLine("match * * *");
+    EXPECT_EQ(matched.substr(matched.rfind("# matched")),
+              csprintf("# matched %zu rows\n", rows_before + 2));
+    engine.flush();
+    EXPECT_EQ(dataLines(matched), exportedRows(path));
+}
+
+} // namespace
+
+TEST(ServeService, CompactedCacheStartsMappedAndServesFills)
+{
+    const std::vector<RunRequest> grid = smallGrid();
+    std::string path = tempCachePath("mapped_start");
+    std::remove(path.c_str());
+    {
+        SweepEngine warmup(path);
+        warmup.run({grid.begin(), grid.begin() + grid.size() / 2});
+    }
+    ASSERT_EQ(v4SegmentCount(path), 1u);
+
+    SweepEngine engine(path);
+    ServeService::Options opts;
+    opts.cachePath = path;
+    ServeService service(engine, opts);
+    EXPECT_EQ(service.snapshotFormat(), "v4-mmap");
+    fillTwiceAndMatchTheExport(engine, service, path, grid.size() / 2);
+    std::remove(path.c_str());
+}
+
+TEST(ServeService, AppendedCacheStartsOnTheEngineImageAndServesFills)
+{
+    const std::vector<RunRequest> grid = smallGrid();
+    std::string path = tempCachePath("appended_start");
+    std::remove(path.c_str());
+    {
+        SweepEngine warmup(path);
+        warmup.run({grid.begin(), grid.begin() + grid.size() / 2});
+    }
+    // Append one foreign-config row as a second segment, then undo
+    // the destructor's compaction: the file is the multi-segment
+    // shape a checkpointed writer leaves, which cannot be mapped.
+    std::string bytes;
+    {
+        RunCache cache(path, 1);
+        cache.insert("foreign-sig", fakeMetrics("FwBN", "CacheRW", 5));
+        std::ifstream in(path, std::ios::binary);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        bytes = ss.str();
+    }
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    ASSERT_EQ(v4SegmentCount(path), 2u);
+    std::string why;
+    ASSERT_EQ(MappedCacheV4::map(path, &why), nullptr);
+
+    SweepEngine engine(path);
+    ServeService::Options opts;
+    opts.cachePath = path;
+    ServeService service(engine, opts);
+    EXPECT_EQ(service.snapshotFormat(), "v4");
+    fillTwiceAndMatchTheExport(engine, service, path,
+                               grid.size() / 2 + 1);
+    std::remove(path.c_str());
 }
