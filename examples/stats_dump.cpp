@@ -1,20 +1,23 @@
 /**
  * @file
- * Diagnostic: run one workload under one policy and dump the entire
- * statistics tree (per-CU, per-cache, per-channel). Useful for
- * understanding where time and traffic go under each policy.
+ * Diagnostic: run one workload under one policy through the same
+ * runWorkloadOn path every sweep uses, print the harvested metrics
+ * row, then dump the entire statistics tree it was read from
+ * (per-CU, per-cache, per-channel). Useful for understanding where
+ * time and traffic go under each policy.
  *
  * Usage: stats_dump [workload] [policy] [scale] [filter-substring]
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <sstream>
 
+#include "core/runner.hh"
 #include "core/sim_config.hh"
 #include "core/system.hh"
-#include "sim/logging.hh"
 #include "workloads/workload.hh"
 
 int
@@ -31,17 +34,13 @@ main(int argc, char **argv)
     cfg.workloadScale = scale;
 
     System sys(cfg, CachePolicy::fromName(pname));
-    auto wl = makeWorkload(wname);
-    bool done = false;
-    sys.gpu().dispatcher().run(wl->kernels(scale),
-                               [&done] { done = true; });
-    sys.eventQueue().runUntil([&done] { return done; },
-                              2'000'000'000ULL);
-    fatal_if(!done, "simulation did not finish");
+    const RunMetrics m = runWorkloadOn(sys, *makeWorkload(wname));
 
     std::cout << "# " << wname << " / " << pname << " finished at "
-              << sys.eventQueue().curTick() / 1000 << " ns, "
-              << sys.eventQueue().numProcessed() << " events\n";
+              << m.execTicks / 1000 << " ns, "
+              << static_cast<std::uint64_t>(m.simEvents) << " events\n"
+              << RunMetrics::csvHeader() << "\n"
+              << m.toCsv() << "\n";
 
     std::map<std::string, double> flat;
     sys.stats().flatten(flat);

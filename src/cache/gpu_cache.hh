@@ -151,26 +151,10 @@ class GpuCache : public SimObject
 
     const Tags &tags() const { return tags_; }
 
-    // --- aggregates for the experiment harness ---
-    double demandHits() const { return statHits_.value(); }
-    double demandMisses() const { return statMisses_.value(); }
+    /** Demand hits + misses (the hit_rate formula's denominator). */
     double demandAccesses() const
     {
         return statHits_.value() + statMisses_.value();
-    }
-    double stallCycles() const { return statStallCycles_.value(); }
-    double allocBypassConversions() const
-    {
-        return statAllocBypassed_.value();
-    }
-    double writebacks() const { return statWritebacks_.value(); }
-    double rinseWritebacks() const
-    {
-        return statRinseWritebacks_.value();
-    }
-    double predictorBypasses() const
-    {
-        return statPredictorBypasses_.value();
     }
 
   private:

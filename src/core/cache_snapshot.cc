@@ -80,8 +80,7 @@ CacheSnapshot::findCsv(const std::string &sig,
     for (const Image &image : images_) {
         const std::int64_t idx = image->findRow(sig, workload, policy);
         if (idx >= 0) {
-            out += image->materialize(static_cast<std::size_t>(idx))
-                       .toCsv();
+            out += csvRow(workload, policy, image->segment().rows[idx]);
             return true;
         }
     }
@@ -141,9 +140,9 @@ CacheSnapshot::matchCsv(const std::string &sig_pattern,
         }
         if (winner < 0)
             return n;
-        out += images_[winner]
-                   ->materialize(hits[winner][next[winner]])
-                   .toCsv();
+        const std::size_t row = hits[winner][next[winner]];
+        out += csvRow(std::get<1>(best), std::get<2>(best),
+                      images_[winner]->segment().rows[row]);
         out += '\n';
         ++n;
         for (std::size_t i = 0; i < images_.size(); ++i) {

@@ -65,62 +65,6 @@ v4Checksum(const void *data, std::size_t n)
     return h;
 }
 
-V4Row
-packV4Row(const RunMetrics &m)
-{
-    V4Row r;
-    r.execTicks = m.execTicks;
-    r.m[0] = m.execSeconds;
-    r.m[1] = m.gpuMemRequests;
-    r.m[2] = m.dramReads;
-    r.m[3] = m.dramWrites;
-    r.m[4] = m.dramAccesses;
-    r.m[5] = m.dramRowHitRate;
-    r.m[6] = m.cacheStallCycles;
-    r.m[7] = m.stallsPerRequest;
-    r.m[8] = m.vops;
-    r.m[9] = m.gvops;
-    r.m[10] = m.gmrps;
-    r.m[11] = m.l1Hits;
-    r.m[12] = m.l1Misses;
-    r.m[13] = m.l2Hits;
-    r.m[14] = m.l2Misses;
-    r.m[15] = m.l2Writebacks;
-    r.m[16] = m.rinseWritebacks;
-    r.m[17] = m.allocBypassed;
-    r.m[18] = m.predictorBypasses;
-    r.m[19] = m.kernels;
-    r.m[20] = m.simEvents;
-    return r;
-}
-
-void
-unpackV4Row(const V4Row &row, RunMetrics &out)
-{
-    out.execTicks = row.execTicks;
-    out.execSeconds = row.m[0];
-    out.gpuMemRequests = row.m[1];
-    out.dramReads = row.m[2];
-    out.dramWrites = row.m[3];
-    out.dramAccesses = row.m[4];
-    out.dramRowHitRate = row.m[5];
-    out.cacheStallCycles = row.m[6];
-    out.stallsPerRequest = row.m[7];
-    out.vops = row.m[8];
-    out.gvops = row.m[9];
-    out.gmrps = row.m[10];
-    out.l1Hits = row.m[11];
-    out.l1Misses = row.m[12];
-    out.l2Hits = row.m[13];
-    out.l2Misses = row.m[14];
-    out.l2Writebacks = row.m[15];
-    out.rinseWritebacks = row.m[16];
-    out.allocBypassed = row.m[17];
-    out.predictorBypasses = row.m[18];
-    out.kernels = row.m[19];
-    out.simEvents = row.m[20];
-}
-
 std::string
 buildV4Segment(const std::vector<V4RowRef> &rows)
 {
@@ -454,17 +398,6 @@ MappedCacheV4::keyAt(std::size_t idx) const
     const V4Key &k = seg_.keys[idx];
     return KeyStrings{seg_.str(k.sig), seg_.str(k.workload),
                       seg_.str(k.policy)};
-}
-
-RunMetrics
-MappedCacheV4::materialize(std::size_t idx) const
-{
-    RunMetrics m;
-    const V4Key &k = seg_.keys[idx];
-    m.workload = std::string(seg_.str(k.workload));
-    m.policy = std::string(seg_.str(k.policy));
-    unpackV4Row(seg_.rows[idx], m);
-    return m;
 }
 
 } // namespace migc

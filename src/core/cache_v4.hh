@@ -75,13 +75,11 @@ isV4Magic(const char *p)
  */
 std::uint64_t v4Checksum(const void *data, std::size_t n);
 
-/** The fixed-width metric column: RunMetrics' numeric fields in CSV
- *  column order (execTicks, then the 21 doubles of toCsv()). */
-struct V4Row
-{
-    std::uint64_t execTicks;
-    double m[21];
-};
+/** The fixed-width metric column is RunValues itself: a run's
+ *  numeric fields in CSV column order (execTicks, then 21 doubles),
+ *  stored verbatim, so CSV re-export formats the exact same values
+ *  byte-identically. */
+using V4Row = RunValues;
 static_assert(sizeof(V4Row) == 176, "v4 metric row layout drifted");
 
 /** Interned key triple; ids index the segment's string table. */
@@ -93,14 +91,6 @@ struct V4Key
     std::uint32_t pad;
 };
 static_assert(sizeof(V4Key) == 16, "v4 key layout drifted");
-
-/** Pack the numeric fields of @p m (names travel via the string
- *  table). Doubles are stored verbatim, so CSV re-export formats the
- *  exact same values byte-identically. */
-V4Row packV4Row(const RunMetrics &m);
-
-/** Unpack numeric fields into @p out (leaves the names alone). */
-void unpackV4Row(const V4Row &row, RunMetrics &out);
 
 /** One row bound for a segment: names as views (the writer interns
  *  them), metrics by value. */
@@ -216,10 +206,6 @@ class MappedCacheV4
     {
         return sections_;
     }
-
-    /** Materialize row @p idx (names copied from the string
-     *  table). */
-    RunMetrics materialize(std::size_t idx) const;
 
   private:
     MappedCacheV4() = default;

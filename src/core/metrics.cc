@@ -1,13 +1,33 @@
 #include "core/metrics.hh"
 
-#include <cstdio>
+#include <charconv>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 #include "sim/logging.hh"
 
 namespace migc
 {
+
+namespace
+{
+
+/**
+ * Parse all of @p s as a @p T: no leading space or '+', no trailing
+ * characters, in range. For the unsigned exec_ticks that means plain
+ * decimal digits; std::stoull would read "5abc" as 5 and wrap "-1".
+ */
+template <typename T>
+bool
+parseWhole(const std::string &s, T &out)
+{
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+} // namespace
 
 std::string
 RunMetrics::csvHeader()
@@ -21,18 +41,26 @@ RunMetrics::csvHeader()
 }
 
 std::string
-RunMetrics::toCsv() const
+csvRow(std::string_view workload, std::string_view policy,
+       const RunValues &v)
 {
     return csprintf(
-        "%s,%s,%llu,%.9e,%.0f,%.0f,%.0f,%.0f,%.9f,%.0f,%.9f,%.0f,%.6f,"
-        "%.6f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f",
-        workload.c_str(), policy.c_str(),
-        static_cast<unsigned long long>(execTicks), execSeconds,
-        gpuMemRequests, dramReads, dramWrites, dramAccesses,
-        dramRowHitRate, cacheStallCycles, stallsPerRequest, vops, gvops,
-        gmrps, l1Hits, l1Misses, l2Hits, l2Misses, l2Writebacks,
-        rinseWritebacks, allocBypassed, predictorBypasses, kernels,
-        simEvents);
+        "%.*s,%.*s,%llu,%.9e,%.0f,%.0f,%.0f,%.0f,%.9f,%.0f,%.9f,%.0f,"
+        "%.6f,%.6f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f",
+        static_cast<int>(workload.size()), workload.data(),
+        static_cast<int>(policy.size()), policy.data(),
+        static_cast<unsigned long long>(v.execTicks), v.execSeconds,
+        v.gpuMemRequests, v.dramReads, v.dramWrites, v.dramAccesses,
+        v.dramRowHitRate, v.cacheStallCycles, v.stallsPerRequest, v.vops,
+        v.gvops, v.gmrps, v.l1Hits, v.l1Misses, v.l2Hits, v.l2Misses,
+        v.l2Writebacks, v.rinseWritebacks, v.allocBypassed,
+        v.predictorBypasses, v.kernels, v.simEvents);
+}
+
+std::string
+RunMetrics::toCsv() const
+{
+    return csvRow(workload, policy, *this);
 }
 
 bool
@@ -48,34 +76,24 @@ RunMetrics::fromCsv(const std::string &line, RunMetrics &out)
     if (fields.size() != 23 && fields.size() != 24)
         return false;
 
+    RunValues v;
+    if (!parseWhole(fields[2], v.execTicks))
+        return false;
+    double *const numbers[] = {
+        &v.execSeconds,    &v.gpuMemRequests,  &v.dramReads,
+        &v.dramWrites,     &v.dramAccesses,    &v.dramRowHitRate,
+        &v.cacheStallCycles, &v.stallsPerRequest, &v.vops,
+        &v.gvops,          &v.gmrps,           &v.l1Hits,
+        &v.l1Misses,       &v.l2Hits,          &v.l2Misses,
+        &v.l2Writebacks,   &v.rinseWritebacks, &v.allocBypassed,
+        &v.predictorBypasses, &v.kernels,      &v.simEvents};
+    for (std::size_t f = 3; f < fields.size(); ++f) {
+        if (!parseWhole(fields[f], *numbers[f - 3]))
+            return false;
+    }
     out.workload = fields[0];
     out.policy = fields[1];
-    try {
-        out.execTicks = std::stoull(fields[2]);
-        out.execSeconds = std::stod(fields[3]);
-        out.gpuMemRequests = std::stod(fields[4]);
-        out.dramReads = std::stod(fields[5]);
-        out.dramWrites = std::stod(fields[6]);
-        out.dramAccesses = std::stod(fields[7]);
-        out.dramRowHitRate = std::stod(fields[8]);
-        out.cacheStallCycles = std::stod(fields[9]);
-        out.stallsPerRequest = std::stod(fields[10]);
-        out.vops = std::stod(fields[11]);
-        out.gvops = std::stod(fields[12]);
-        out.gmrps = std::stod(fields[13]);
-        out.l1Hits = std::stod(fields[14]);
-        out.l1Misses = std::stod(fields[15]);
-        out.l2Hits = std::stod(fields[16]);
-        out.l2Misses = std::stod(fields[17]);
-        out.l2Writebacks = std::stod(fields[18]);
-        out.rinseWritebacks = std::stod(fields[19]);
-        out.allocBypassed = std::stod(fields[20]);
-        out.predictorBypasses = std::stod(fields[21]);
-        out.kernels = std::stod(fields[22]);
-        out.simEvents = fields.size() > 23 ? std::stod(fields[23]) : 0.0;
-    } catch (...) {
-        return false;
-    }
+    static_cast<RunValues &>(out) = v;
     return true;
 }
 

@@ -1,25 +1,31 @@
 /**
  * @file
- * Per-run metrics harvested after a workload completes: everything
- * the paper's figures are built from.
+ * Per-run metrics: everything the paper's figures are built from.
+ *
+ * The numeric columns are declared once, in RunValues, in CSV column
+ * order. RunValues is trivially copyable and is exactly the v4
+ * cache's fixed-width metric row (cache_v4.hh), so storing and
+ * loading a row is a memcpy and csvRow() formats a row straight out
+ * of a mapped image. runWorkloadOn (runner.hh) fills the values from
+ * the System's stat tree; docs/ARCHITECTURE.md maps every column to
+ * its tree path.
  */
 
 #ifndef MIGC_CORE_METRICS_HH
 #define MIGC_CORE_METRICS_HH
 
-#include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "sim/types.hh"
 
 namespace migc
 {
 
-struct RunMetrics
+/** The numeric columns of one run, in CSV column order. */
+struct RunValues
 {
-    std::string workload;
-    std::string policy;
-
     /** Wall time of the workload, host launch overheads included. */
     Tick execTicks = 0;
     double execSeconds = 0.0;
@@ -64,6 +70,15 @@ struct RunMetrics
      * scheduler uses it as the duration estimate for repeat runs.
      */
     double simEvents = 0.0;
+};
+static_assert(std::is_trivially_copyable_v<RunValues>,
+              "RunValues is stored and mapped as raw bytes");
+
+/** One run: its names plus its values. */
+struct RunMetrics : RunValues
+{
+    std::string workload;
+    std::string policy;
 
     /** Never set and never serialized; perfbench/grid.cc reads it. */
     bool placeholder = false;
@@ -73,9 +88,18 @@ struct RunMetrics
 
     static std::string csvHeader();
 
-    /** Parse a line produced by toCsv(); returns false on mismatch. */
+    /**
+     * Parse a line produced by toCsv(); returns false on mismatch,
+     * including any field that is not wholly a number (exec_ticks
+     * must be plain decimal digits).
+     */
     static bool fromCsv(const std::string &line, RunMetrics &out);
 };
+
+/** The CSV row of (@p workload, @p policy, @p values) - the one
+ *  formatter behind toCsv(), served rows, and merge comparisons. */
+std::string csvRow(std::string_view workload, std::string_view policy,
+                   const RunValues &values);
 
 } // namespace migc
 

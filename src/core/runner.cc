@@ -29,6 +29,18 @@ runWorkloadOn(System &sys, const Workload &workload)
              static_cast<unsigned long long>(
                  sys.eventQueue().curTick()));
 
+    // Every counter comes off the stat tree by the path stats_dump
+    // prints; per-cache counters sum over the l1_*/l2_* groups. Each
+    // summed counter is integer-valued, so the sum is exact in any
+    // order.
+    const StatGroup &stats = sys.stats();
+    auto l1 = [&stats](const char *leaf) {
+        return stats.sumOverChildren(leaf, "l1_");
+    };
+    auto l2 = [&stats](const char *leaf) {
+        return stats.sumOverChildren(leaf, "l2_");
+    };
+
     RunMetrics m;
     m.workload = workload.name();
     m.policy = policy.name;
@@ -36,33 +48,33 @@ runWorkloadOn(System &sys, const Workload &workload)
     m.execSeconds = static_cast<double>(m.execTicks) /
                     static_cast<double>(simSecond);
 
-    m.gpuMemRequests = sys.gpu().totalMemRequests();
-    m.dramReads = sys.dram().totalReads();
-    m.dramWrites = sys.dram().totalWrites();
-    m.dramAccesses = sys.dram().totalAccesses();
-    m.dramRowHitRate = sys.dram().rowHitRate();
+    m.gpuMemRequests = stats.get("gpu.mem_requests");
+    m.dramReads = stats.get("dram.reads");
+    m.dramWrites = stats.get("dram.writes");
+    m.dramAccesses = m.dramReads + m.dramWrites;
+    m.dramRowHitRate = stats.get("dram.row_hit_rate");
 
-    m.cacheStallCycles = sys.totalCacheStallCycles();
+    m.cacheStallCycles = l1("stall_cycles") + l2("stall_cycles");
     m.stallsPerRequest = m.gpuMemRequests > 0
                              ? m.cacheStallCycles / m.gpuMemRequests
                              : 0.0;
 
-    m.vops = sys.gpu().totalVops();
+    m.vops = stats.get("gpu.vops");
     m.gvops = m.execSeconds > 0 ? m.vops * 64.0 / m.execSeconds / 1e9
                                 : 0.0;
     m.gmrps = m.execSeconds > 0
                   ? m.gpuMemRequests / m.execSeconds / 1e9
                   : 0.0;
 
-    m.l1Hits = sys.totalL1Hits();
-    m.l1Misses = sys.totalL1Misses();
-    m.l2Hits = sys.totalL2Hits();
-    m.l2Misses = sys.totalL2Misses();
-    m.l2Writebacks = sys.totalL2Writebacks();
-    m.rinseWritebacks = sys.totalRinseWritebacks();
-    m.allocBypassed = sys.totalAllocBypassed();
-    m.predictorBypasses = sys.totalPredictorBypasses();
-    m.kernels = sys.gpu().dispatcher().kernelsLaunched();
+    m.l1Hits = l1("hits");
+    m.l1Misses = l1("misses");
+    m.l2Hits = l2("hits");
+    m.l2Misses = l2("misses");
+    m.l2Writebacks = l2("writebacks");
+    m.rinseWritebacks = l2("rinse_writebacks");
+    m.allocBypassed = l1("alloc_bypassed") + l2("alloc_bypassed");
+    m.predictorBypasses = stats.get("predictor.bypass_predictions");
+    m.kernels = stats.get("gpu.dispatcher.kernels");
     m.simEvents = static_cast<double>(sys.eventQueue().numProcessed());
     return m;
 }

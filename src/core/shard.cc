@@ -149,8 +149,8 @@ mergeShardCachesV4(const std::string &base, unsigned shards,
             // identically (e.g. -0.0 vs 0.0) still counts as a
             // duplicate rather than aborting the join.
             if (std::memcmp(&lrow, &wrow, sizeof(V4Row)) == 0 ||
-                in.file->materialize(in.next).toCsv() ==
-                    win.file->materialize(win.next - 1).toCsv()) {
+                csvRow(std::get<1>(best), std::get<2>(best), lrow) ==
+                    csvRow(std::get<1>(best), std::get<2>(best), wrow)) {
                 stats.duplicates += 1;
             } else {
                 fatal("shard cache %s: row for %s/%s conflicts with "

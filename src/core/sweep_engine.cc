@@ -213,14 +213,15 @@ RunCache::mergeV4Segment(const V4SegmentView &seg,
             ++stats.duplicates;
             continue;
         }
-        RunMetrics m;
-        m.workload.assign(key.first.data(), key.first.size());
-        m.policy.assign(key.second.data(), key.second.size());
-        unpackV4Row(seg.rows[i], m);
+        const V4Row &row = seg.rows[i];
         if (!held) {
-            appendRow(section, pos, std::move(m), durable);
+            appendRow(section, pos,
+                      RunMetrics{row, std::string(key.first),
+                                 std::string(key.second)},
+                      durable);
             ++stats.rows;
-        } else if (pos->second->toCsv() == m.toCsv()) {
+        } else if (pos->second->toCsv() ==
+                   csvRow(key.first, key.second, row)) {
             // The serialized forms decide, the same dup/conflict test
             // as the text import and the k-way shard merge.
             ++stats.duplicates;
@@ -317,8 +318,7 @@ RunCache::serialize(CacheFormat format) const
         rows.reserve(log_.size());
         for (const auto &[sig, section] : index_) {
             for (const auto &[key, m] : section) {
-                rows.push_back(V4RowRef{sig, key.first, key.second,
-                                        packV4Row(*m)});
+                rows.push_back(V4RowRef{sig, key.first, key.second, *m});
             }
         }
         return buildV4Segment(rows);
@@ -378,7 +378,7 @@ RunCache::appendPending()
     refs.reserve(pendingAppend_.size());
     for (const auto &[sig, row] : pendingAppend_)
         refs.push_back(
-            V4RowRef{sig, row->workload, row->policy, packV4Row(*row)});
+            V4RowRef{sig, row->workload, row->policy, *row});
     std::sort(refs.begin(), refs.end(),
               [](const V4RowRef &a, const V4RowRef &b) {
                   return std::tie(a.sig, a.workload, a.policy) <

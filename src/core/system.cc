@@ -203,86 +203,4 @@ System::memSystemQuiescent() const
     return true;
 }
 
-double
-System::totalCacheStallCycles() const
-{
-    double v = 0;
-    for (const auto &l1 : l1s_)
-        v += l1->stallCycles();
-    for (const auto &l2 : l2Banks_)
-        v += l2->stallCycles();
-    return v;
-}
-
-double
-System::totalL1Hits() const
-{
-    double v = 0;
-    for (const auto &l1 : l1s_)
-        v += l1->demandHits();
-    return v;
-}
-
-double
-System::totalL1Misses() const
-{
-    double v = 0;
-    for (const auto &l1 : l1s_)
-        v += l1->demandMisses();
-    return v;
-}
-
-double
-System::totalL2Hits() const
-{
-    double v = 0;
-    for (const auto &l2 : l2Banks_)
-        v += l2->demandHits();
-    return v;
-}
-
-double
-System::totalL2Misses() const
-{
-    double v = 0;
-    for (const auto &l2 : l2Banks_)
-        v += l2->demandMisses();
-    return v;
-}
-
-double
-System::totalL2Writebacks() const
-{
-    double v = 0;
-    for (const auto &l2 : l2Banks_)
-        v += l2->writebacks();
-    return v;
-}
-
-double
-System::totalRinseWritebacks() const
-{
-    double v = 0;
-    for (const auto &l2 : l2Banks_)
-        v += l2->rinseWritebacks();
-    return v;
-}
-
-double
-System::totalAllocBypassed() const
-{
-    double v = 0;
-    for (const auto &l1 : l1s_)
-        v += l1->allocBypassConversions();
-    for (const auto &l2 : l2Banks_)
-        v += l2->allocBypassConversions();
-    return v;
-}
-
-double
-System::totalPredictorBypasses() const
-{
-    return predictor_.bypassPredictions();
-}
-
 } // namespace migc

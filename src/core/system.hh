@@ -81,17 +81,6 @@ class System
     /** No request, fill, or writeback in flight anywhere. */
     bool memSystemQuiescent() const;
 
-    // --- cross-hierarchy aggregates for metrics ---
-    double totalCacheStallCycles() const;
-    double totalL1Hits() const;
-    double totalL1Misses() const;
-    double totalL2Hits() const;
-    double totalL2Misses() const;
-    double totalL2Writebacks() const;
-    double totalRinseWritebacks() const;
-    double totalAllocBypassed() const;
-    double totalPredictorBypasses() const;
-
   private:
     /**
      * The single source of truth for how the current policy and

@@ -76,8 +76,6 @@ class Dispatcher : public SimObject
 
     void regStats(StatGroup &group) override;
 
-    double kernelsLaunched() const { return statKernels_.value(); }
-
   private:
     void launchKernel();
     void tryDispatch();

@@ -71,11 +71,6 @@ class ReusePredictor
 
     void regStats(StatGroup &group);
 
-    double bypassPredictions() const
-    {
-        return statBypassPredictions_.value();
-    }
-
   private:
     std::size_t indexOf(Addr pc) const;
 

@@ -98,42 +98,43 @@ StatGroup::findLocal(const std::string &name) const
     return nullptr;
 }
 
+const StatGroup::Entry *
+StatGroup::find(const std::string &dotted_path) const
+{
+    auto dot = dotted_path.find('.');
+    if (dot == std::string::npos)
+        return findLocal(dotted_path);
+    auto it = children_.find(dotted_path.substr(0, dot));
+    if (it == children_.end())
+        return nullptr;
+    return it->second.find(dotted_path.substr(dot + 1));
+}
+
 double
 StatGroup::get(const std::string &dotted_path) const
 {
-    auto dot = dotted_path.find('.');
-    if (dot == std::string::npos) {
-        const Entry *e = findLocal(dotted_path);
-        panic_if(e == nullptr, "no stat named '%s' in group '%s'",
-                 dotted_path.c_str(), name_.c_str());
-        return e->value();
-    }
-    std::string head = dotted_path.substr(0, dot);
-    auto it = children_.find(head);
-    panic_if(it == children_.end(), "no stat group '%s' in '%s'",
-             head.c_str(), name_.c_str());
-    return it->second.get(dotted_path.substr(dot + 1));
+    const Entry *e = find(dotted_path);
+    panic_if(e == nullptr, "no stat named '%s' in group '%s'",
+             dotted_path.c_str(), name_.c_str());
+    return e->value();
 }
 
 bool
 StatGroup::has(const std::string &dotted_path) const
 {
-    auto dot = dotted_path.find('.');
-    if (dot == std::string::npos)
-        return findLocal(dotted_path) != nullptr;
-    auto it = children_.find(dotted_path.substr(0, dot));
-    if (it == children_.end())
-        return false;
-    return it->second.has(dotted_path.substr(dot + 1));
+    return find(dotted_path) != nullptr;
 }
 
 double
-StatGroup::sumOverChildren(const std::string &leaf_path) const
+StatGroup::sumOverChildren(const std::string &leaf_path,
+                           const std::string &child_prefix) const
 {
     double total = 0.0;
-    for (const auto &[name, group] : children_) {
-        if (group.has(leaf_path))
-            total += group.get(leaf_path);
+    for (auto it = children_.lower_bound(child_prefix);
+         it != children_.end() && it->first.starts_with(child_prefix);
+         ++it) {
+        if (const Entry *e = it->second.find(leaf_path))
+            total += e->value();
     }
     return total;
 }

@@ -151,8 +151,13 @@ class StatGroup
     /** True if @p dotted_path names a registered value. */
     bool has(const std::string &dotted_path) const;
 
-    /** Sum a stat over all direct children, e.g. sumOverChildren("hits"). */
-    double sumOverChildren(const std::string &leaf_path) const;
+    /**
+     * Sum a stat over the direct children whose name starts with
+     * @p child_prefix (all of them by default) and that register it,
+     * e.g. sumOverChildren("hits", "l1_") over every L1.
+     */
+    double sumOverChildren(const std::string &leaf_path,
+                           const std::string &child_prefix = "") const;
 
     /** Dump all stats (recursively) as "path value # desc" lines. */
     void dump(std::ostream &os, const std::string &prefix = "") const;
@@ -171,6 +176,9 @@ class StatGroup
     };
 
     const Entry *findLocal(const std::string &name) const;
+
+    /** The entry at @p dotted_path, or null. */
+    const Entry *find(const std::string &dotted_path) const;
 
     std::string name_;
     std::vector<Entry> entries_;

@@ -82,7 +82,7 @@ seedSegments()
                 m.execTicks = static_cast<Tick>(v * 100);
                 m.simEvents = v;
                 v += 1.0;
-                grid.push_back(V4RowRef{s, w, p, packV4Row(m)});
+                grid.push_back(V4RowRef{s, w, p, m});
             }
     return {buildV4Segment({}), buildV4Segment({grid.front()}),
             buildV4Segment(grid)};
@@ -247,10 +247,8 @@ checkFileReaders(const std::string &path, const std::string &bytes,
     all.clear();
     EXPECT_EQ(snap->matchCsv("*", "*", "*", all), file->rows());
     for (std::size_t i = 0; i < file->rows(); ++i) {
-        const RunMetrics m = file->materialize(i);
-        const std::string_view sig =
-            file->segment().str(file->segment().keys[i].sig);
-        EXPECT_EQ(file->findRow(sig, m.workload, m.policy),
+        const auto [sig, workload, policy] = file->keyAt(i);
+        EXPECT_EQ(file->findRow(sig, workload, policy),
                   static_cast<std::int64_t>(i));
     }
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "core/experiments.hh"
 #include "core/metrics.hh"
@@ -54,6 +55,36 @@ TEST(RunMetrics, FromCsvRejectsGarbage)
     RunMetrics out;
     EXPECT_FALSE(RunMetrics::fromCsv("not,a,metrics,row", out));
     EXPECT_FALSE(RunMetrics::fromCsv("", out));
+
+    // Each numeric field must be consumed whole, and exec_ticks must
+    // be plain digits: std::stoull alone reads "5abc" as 5 and wraps
+    // "-1" to 2^64-1.
+    RunMetrics m;
+    m.workload = std::string("W");
+    m.policy = std::string("P");
+    m.execTicks = 5;
+    const std::string good = m.toCsv();
+    ASSERT_TRUE(RunMetrics::fromCsv(good, out));
+    auto with_field = [&good](std::size_t idx, const std::string &v) {
+        std::vector<std::string> fields;
+        std::stringstream ss(good);
+        std::string item;
+        while (std::getline(ss, item, ','))
+            fields.push_back(item);
+        fields.at(idx) = v;
+        std::string line;
+        for (const std::string &f : fields)
+            line += (line.empty() ? "" : ",") + f;
+        return line;
+    };
+    for (const char *ticks : {"5abc", "-1", "+5", " 5", "0x5", "5.0",
+                              "99999999999999999999"})
+        EXPECT_FALSE(RunMetrics::fromCsv(with_field(2, ticks), out))
+            << "exec_ticks " << ticks;
+    EXPECT_FALSE(RunMetrics::fromCsv(with_field(3, "1.5e-3x"), out));
+    EXPECT_FALSE(RunMetrics::fromCsv(with_field(8, "0.5.5"), out));
+    EXPECT_FALSE(RunMetrics::fromCsv(with_field(23, "12 "), out));
+    EXPECT_FALSE(RunMetrics::fromCsv(with_field(23, "12\r"), out));
 }
 
 TEST(RunMetrics, HeaderFieldCountMatchesRow)

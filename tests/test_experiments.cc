@@ -113,8 +113,7 @@ writeCacheFile(const std::string &path, const SimConfig &cfg,
 std::string
 segmentOf(const std::string &sig, const RunMetrics &m)
 {
-    return buildV4Segment(
-        {V4RowRef{sig, m.workload, m.policy, packV4Row(m)}});
+    return buildV4Segment({V4RowRef{sig, m.workload, m.policy, m}});
 }
 
 /** @p seg with one byte mid-segment flipped: its footer checksum no
@@ -380,10 +379,12 @@ TEST(SweepEngine, CorruptedCacheRowsAreCountedAsParseErrors)
     }
 
     // The text import counts damaged lines the same way: a truncated
-    // write and a stray line are two lost rows, and the good row
-    // still converts.
+    // write, a stray line, and a row whose exec_ticks has trailing
+    // junk are three lost rows, and the good row still converts.
     const std::string text = tempCachePath("parse_errors_text");
     {
+        std::string junk_ticks = fakeMetrics("FwBN", "Uncached", 5).toCsv();
+        junk_ticks.replace(junk_ticks.find(",5,"), 3, ",5abc,");
         std::ofstream out(text, std::ios::trunc);
         out << kCacheTagV3 << "\n";
         out << kSectionTag << cfg.signature() << "\n";
@@ -391,12 +392,15 @@ TEST(SweepEngine, CorruptedCacheRowsAreCountedAsParseErrors)
         out << fakeMetrics("FwSoft", "CacheRW", 424242).toCsv() << "\n";
         out << "this line is not a metrics row\n";
         out << "FwBN,CacheR,not-a-number\n";
+        out << junk_ticks << "\n";
     }
     RunCache imported{std::string()};
     RunCache::MergeStats stats = importTextCache(text, imported);
     EXPECT_EQ(stats.rows, 1u);
-    EXPECT_EQ(stats.parseErrors, 2u);
+    EXPECT_EQ(stats.parseErrors, 3u);
     ASSERT_NE(imported.find(cfg.signature(), "FwSoft", "CacheRW"),
+              nullptr);
+    EXPECT_EQ(imported.find(cfg.signature(), "FwBN", "Uncached"),
               nullptr);
     std::remove(path.c_str());
     std::remove(text.c_str());

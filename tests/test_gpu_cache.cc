@@ -55,6 +55,7 @@ struct CacheHarness
     {
         cpu.bind(cache.cpuSidePort());
         cache.memSidePort().bind(mem);
+        cache.regStats(stats);
     }
 
     EventQueue eq;
@@ -63,6 +64,7 @@ struct CacheHarness
     GpuCache cache;
     MockCpu cpu;
     MockMem mem;
+    StatGroup stats;
 };
 
 } // namespace
@@ -74,12 +76,12 @@ TEST(GpuCache, ColdMissFillsThenHits)
     h.eq.run();
     EXPECT_EQ(h.mem.reads, 1u);
     ASSERT_EQ(h.cpu.responses.size(), 1u);
-    EXPECT_EQ(h.cache.demandMisses(), 1.0);
+    EXPECT_EQ(h.stats.get("misses"), 1.0);
 
     h.cpu.send(MemCmd::ReadReq, 0x1000, 0x4);
     h.eq.run();
     EXPECT_EQ(h.mem.reads, 1u); // no new memory read
-    EXPECT_EQ(h.cache.demandHits(), 1.0);
+    EXPECT_EQ(h.stats.get("hits"), 1.0);
     EXPECT_EQ(h.cpu.responses.size(), 2u);
 }
 
@@ -94,7 +96,7 @@ TEST(GpuCache, ConcurrentMissesCoalesceOnMshr)
     h.eq.run();
     EXPECT_EQ(h.mem.reads, 1u);
     EXPECT_EQ(h.cpu.responses.size(), 3u);
-    EXPECT_EQ(h.cache.demandMisses(), 1.0);
+    EXPECT_EQ(h.stats.get("misses"), 1.0);
     EXPECT_TRUE(h.cache.quiescent());
 }
 
@@ -182,8 +184,8 @@ TEST(GpuCache, AllocationBlockingStallsWithoutAb)
     h.eq.run();
     // All complete eventually, and the 5th was stalled.
     EXPECT_EQ(h.cpu.responses.size(), 5u);
-    EXPECT_GT(h.cache.stallCycles(), 0.0);
-    EXPECT_EQ(h.cache.allocBypassConversions(), 0.0);
+    EXPECT_GT(h.stats.get("stall_cycles"), 0.0);
+    EXPECT_EQ(h.stats.get("alloc_bypassed"), 0.0);
 }
 
 TEST(GpuCache, AllocationBypassConvertsInsteadOfStalling)
@@ -196,7 +198,7 @@ TEST(GpuCache, AllocationBypassConvertsInsteadOfStalling)
         h.cpu.send(MemCmd::ReadReq, 0x1000u * i);
     h.eq.run();
     EXPECT_EQ(h.cpu.responses.size(), 5u);
-    EXPECT_GE(h.cache.allocBypassConversions(), 1.0);
+    EXPECT_GE(h.stats.get("alloc_bypassed"), 1.0);
     // The converted request still returned data but did not insert:
     // only 4 lines resident.
     EXPECT_EQ(h.cache.tags().countState(BlkState::valid), 4u);
@@ -267,7 +269,7 @@ TEST(GpuCache, RinsingWritesBackWholeRowOnEviction)
 
     // The victim plus the 3 same-row rinse writebacks.
     EXPECT_EQ(h.mem.writebacks, 4u);
-    EXPECT_EQ(h.cache.rinseWritebacks(), 3.0);
+    EXPECT_EQ(h.stats.get("rinse_writebacks"), 3.0);
     // Rinsed lines stay cached, now clean.
     EXPECT_EQ(h.cache.tags().countState(BlkState::dirty), 0u);
 }
@@ -292,7 +294,7 @@ TEST(GpuCache, PredictorBypassesNoReusePc)
         h.eq.run();
     }
     EXPECT_LT(pred.counterFor(pc_stream), 2u);
-    EXPECT_GT(h.cache.predictorBypasses(), 0.0);
+    EXPECT_GT(h.stats.get("predictor_bypasses"), 0.0);
 }
 
 TEST(GpuCache, PredictorKeepsCachingReusedPc)
@@ -310,8 +312,8 @@ TEST(GpuCache, PredictorKeepsCachingReusedPc)
         h.eq.run();
     }
     EXPECT_GE(pred.counterFor(pc_hot), 4u);
-    EXPECT_EQ(h.cache.predictorBypasses(), 0.0);
-    EXPECT_EQ(h.cache.demandHits(), 7.0);
+    EXPECT_EQ(h.stats.get("predictor_bypasses"), 0.0);
+    EXPECT_EQ(h.stats.get("hits"), 7.0);
 }
 
 TEST(GpuCache, QuiescentReflectsInFlightWork)

@@ -206,7 +206,9 @@ TEST(Dispatcher, RunsKernelsInOrderWithHooks)
 
     EXPECT_TRUE(done);
     EXPECT_FALSE(disp.running());
-    EXPECT_EQ(disp.kernelsLaunched(), 3.0);
+    StatGroup stats;
+    disp.regStats(stats);
+    EXPECT_EQ(stats.get("kernels"), 3.0);
     EXPECT_EQ(l1_invals, 3); // every kernel boundary
     EXPECT_EQ(l2_syncs, 1);  // only the system-scope end
 }

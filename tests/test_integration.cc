@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "core/experiments.hh"
 #include "core/runner.hh"
 #include "core/sim_config.hh"
 #include "core/system.hh"
@@ -201,3 +204,51 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("Uncached", "CacheR", "CacheRW",
                           "CacheRW-AB", "CacheRW-CR",
                           "CacheRW-PCby")));
+
+/**
+ * The paper's grid-level findings on the whole 17 x 6 test-config
+ * grid, so a refactor cannot silently change the science the
+ * figures rest on.
+ */
+TEST(PaperFindings, HoldAcrossTheTestGrid)
+{
+    const SimConfig cfg = SimConfig::testConfig();
+    const std::vector<std::string> workloads = workloadOrder();
+    const std::vector<std::string> policies =
+        ExperimentSweep::allPolicyNames();
+    std::vector<RunRequest> requests;
+    for (const std::string &w : workloads)
+        for (const std::string &p : policies)
+            requests.push_back(RunRequest{cfg, w, p});
+    SweepEngine engine{std::string()};
+    const std::vector<RunMetrics> rows = engine.run(requests);
+    ASSERT_EQ(workloads.size(), 17u);
+    ASSERT_EQ(rows.size(), workloads.size() * policies.size());
+
+    std::set<std::string> winners;
+    double dram_reads_cache_r = 0.0;
+    double dram_reads_uncached = 0.0;
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const RunMetrics *best = nullptr;
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+            const RunMetrics &m = rows[w * policies.size() + p];
+            if (best == nullptr || m.execTicks < best->execTicks)
+                best = &m;
+            if (m.policy == "CacheR") {
+                // Read-only caching never dirties the L2.
+                EXPECT_EQ(m.l2Writebacks, 0.0) << m.workload;
+                dram_reads_cache_r += m.dramReads;
+            } else if (m.policy == "Uncached") {
+                // Uncached never allocates, so nothing hits in an L1.
+                EXPECT_EQ(m.l1Hits, 0.0) << m.workload;
+                dram_reads_uncached += m.dramReads;
+            }
+        }
+        winners.insert(best->policy);
+    }
+    // No one policy is fastest on every workload (Fig. 6 / Fig. 10):
+    // the per-workload winners are five distinct policies.
+    EXPECT_EQ(winners.size(), 5u);
+    // Read caching cuts grid-wide DRAM reads (Fig. 7).
+    EXPECT_LT(dram_reads_cache_r, dram_reads_uncached);
+}

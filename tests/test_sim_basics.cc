@@ -151,6 +151,20 @@ TEST(Stats, SumOverChildren)
     root.child("c0").addScalar("hits", "", &a);
     root.child("c1").addScalar("hits", "", &b);
     EXPECT_DOUBLE_EQ(root.sumOverChildren("hits"), 12.0);
+
+    // A child-name prefix narrows the sum to those children; children
+    // without the stat add nothing.
+    StatScalar c;
+    c += 100;
+    root.child("d0").addScalar("hits", "", &c);
+    root.child("c2").addScalar("misses", "", &c);
+    root.child("b0").child("hits").addScalar("x", "", &c);
+    EXPECT_DOUBLE_EQ(root.sumOverChildren("hits"), 112.0);
+    EXPECT_DOUBLE_EQ(root.sumOverChildren("hits", "c"), 12.0);
+    EXPECT_DOUBLE_EQ(root.sumOverChildren("hits", "c1"), 7.0);
+    EXPECT_DOUBLE_EQ(root.sumOverChildren("hits", "d"), 100.0);
+    EXPECT_DOUBLE_EQ(root.sumOverChildren("hits", "e"), 0.0);
+    EXPECT_DOUBLE_EQ(root.sumOverChildren("hits.x", "b"), 100.0);
 }
 
 TEST(Stats, FlattenAndDump)
