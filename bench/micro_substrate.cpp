@@ -710,12 +710,12 @@ benchWarmReplayV4(const std::string &path, const SyntheticGrid &g)
 
 /**
  * Coordinator join over 4 x 25k-row shard files (plus no canonical
- * cache). Compacted shards take the zero-copy k-way merge; the
+ * cache). Compacted shards are one sorted run each; the
  * @p fragmented variant leaves each shard as the appended
- * multi-segment file a worker's checkpoints produce, which the fast
- * path declines, so it measures the same join through the general
- * RunCache path. Only the merge itself is timed - re-seeding the
- * consumed input files between reps is setup.
+ * multi-segment file a worker's checkpoints produce (a run per
+ * 4096-row segment), so it times the same zero-copy k-way walk over
+ * seven times as many runs. Only the merge itself is timed -
+ * re-seeding the consumed input files between reps is setup.
  */
 BenchResult
 benchShardMerge100k(const std::string &base, const SyntheticGrid &g,

@@ -40,11 +40,40 @@ get(const char *p)
 constexpr std::uint64_t kChecksumSeed = 0x9E3779B97F4A7C15ull;
 
 bool
-fail(std::string *why, const char *msg)
+fail(std::string *why, const std::string &msg)
 {
     if (why != nullptr)
         *why = msg;
     return false;
+}
+
+/**
+ * Map @p path read-only into @p base / @p len; an empty file opens
+ * with len 0 and no mapping. @return false (with @p why set) when the
+ * file cannot be opened, sized or mapped.
+ */
+bool
+mapFile(const std::string &path, void *&base, std::size_t &len,
+        std::string *why)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return fail(why, "cannot open the file");
+    struct ::stat st;
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
+        return fail(why, "cannot stat the file");
+    }
+    len = static_cast<std::size_t>(st.st_size);
+    if (len > 0)
+        base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd); // the mapping holds its own reference
+    if (base == MAP_FAILED) {
+        base = nullptr;
+        len = 0;
+        return fail(why, "mmap failed");
+    }
+    return true;
 }
 
 } // namespace
@@ -237,34 +266,65 @@ parseV4Segment(const char *p, std::size_t avail, V4SegmentView &seg,
     return true;
 }
 
+V4SegmentFile::V4SegmentFile(const std::string &path)
+{
+    exists_ = mapFile(path, base_, len_, nullptr);
+    if (len_ == 0)
+        return; // missing or empty: no segments
+    const char *buf = static_cast<const char *>(base_);
+    fatal_if(len_ < sizeof(kV4SegMagic) || !isV4Magic(buf),
+             "sweep cache %s is not a v4 cache (a v3/v2 text cache or "
+             "an unrecognized file); it was left untouched. Convert a "
+             "text cache once with `migc_sweep --cache %s --convert`",
+             path.c_str(), path.c_str());
+    std::size_t off = 0;
+    while (off < len_) {
+        V4SegmentView seg;
+        if (!parseV4Segment(buf + off, len_ - off, seg, &damage_)) {
+            damagedAt_ = off;
+            break;
+        }
+        segments_.push_back(seg);
+        off += seg.bytes;
+    }
+}
+
+V4SegmentFile::~V4SegmentFile()
+{
+    if (base_ != nullptr)
+        ::munmap(base_, len_);
+}
+
 std::size_t
 v4SegmentCount(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return 0;
-    std::fseek(f, 0, SEEK_END);
-    const long len = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (len <= 0) {
-        std::fclose(f);
-        return 0;
-    }
-    // 8-byte aligned backing store so segment casts are safe.
-    std::vector<std::uint64_t> words((len + 7) / 8, 0);
-    char *buf = reinterpret_cast<char *>(words.data());
-    const std::size_t got = std::fread(buf, 1, len, f);
-    std::fclose(f);
+    return V4SegmentFile(path).segments().size();
+}
 
-    std::size_t n = 0, off = 0;
-    while (off < got) {
-        V4SegmentView seg;
-        if (!parseV4Segment(buf + off, got - off, seg, nullptr))
-            break;
-        ++n;
-        off += seg.bytes;
+bool
+writeFileAtomic(const std::string &path, const std::string &bytes,
+                std::string *error)
+{
+    // The pid suffix keeps concurrent processes' tmp files private.
+    const std::string tmp = csprintf("%s.%d.tmp", path.c_str(),
+                                     static_cast<int>(::getpid()));
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (f == nullptr)
+        return fail(error, csprintf("cannot open %s for writing",
+                                    tmp.c_str()));
+    bool ok =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    ok = (std::fclose(f) == 0) && ok;
+    if (!ok) {
+        std::remove(tmp.c_str());
+        return fail(error, csprintf("short write to %s", tmp.c_str()));
     }
-    return n;
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        return fail(error, csprintf("rename %s -> %s failed",
+                                    tmp.c_str(), path.c_str()));
+    }
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -274,33 +334,15 @@ v4SegmentCount(const std::string &path)
 std::shared_ptr<const MappedCacheV4>
 MappedCacheV4::map(const std::string &path, std::string *why)
 {
-    auto set_why = [&](const std::string &m) {
-        if (why != nullptr)
-            *why = m;
-    };
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-        set_why("cannot open the file");
-        return nullptr;
-    }
-    struct ::stat st;
-    if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-        ::close(fd);
-        set_why("cannot stat the file (or it is empty)");
-        return nullptr;
-    }
-    const std::size_t len = static_cast<std::size_t>(st.st_size);
-    void *base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd); // the mapping holds its own reference
-    if (base == MAP_FAILED) {
-        set_why("mmap failed");
-        return nullptr;
-    }
-
     auto mapped = std::shared_ptr<MappedCacheV4>(new MappedCacheV4());
-    mapped->base_ = base;
-    mapped->len_ = len;
-    if (!mapped->adopt(static_cast<const char *>(base), len, why))
+    if (!mapFile(path, mapped->base_, mapped->len_, why))
+        return nullptr;
+    if (mapped->len_ == 0) {
+        fail(why, "the file is empty");
+        return nullptr;
+    }
+    if (!mapped->adopt(static_cast<const char *>(mapped->base_),
+                       mapped->len_, why))
         return nullptr; // dtor unmaps
     return mapped;
 }
@@ -390,14 +432,6 @@ MappedCacheV4::findRow(std::string_view sig, std::string_view workload,
         return -1;
     }
     return it - begin;
-}
-
-MappedCacheV4::KeyStrings
-MappedCacheV4::keyAt(std::size_t idx) const
-{
-    const V4Key &k = seg_.keys[idx];
-    return KeyStrings{seg_.str(k.sig), seg_.str(k.workload),
-                      seg_.str(k.policy)};
 }
 
 } // namespace migc

@@ -126,6 +126,18 @@ struct V4SegmentView
         const std::uint64_t begin = id == 0 ? 0 : stringEnds[id - 1];
         return std::string_view(blob + begin, stringEnds[id] - begin);
     }
+
+    /** (sig, workload, policy) of row @p i, as views into the
+     *  segment; compares in canonical order across segments. */
+    using KeyStrings = std::tuple<std::string_view, std::string_view,
+                                  std::string_view>;
+
+    KeyStrings
+    keyAt(std::uint64_t i) const
+    {
+        return KeyStrings{str(keys[i].sig), str(keys[i].workload),
+                          str(keys[i].policy)};
+    }
 };
 
 /**
@@ -138,9 +150,73 @@ struct V4SegmentView
 bool parseV4Segment(const char *p, std::size_t avail,
                     V4SegmentView &seg, std::string *why);
 
+/**
+ * A v4 cache file's readable prefix, mapped read-only: every segment
+ * that validates, in file order, up to the first damaged one. This
+ * is the one segment walk every reader of a possibly fragmented file
+ * shares: RunCache's loader, the shard join (shard.hh) and
+ * v4SegmentCount. A missing or zero-length file reads as no segments
+ * (a fleet worker SIGKILLed before its first checkpoint leaves a
+ * zero-length shard: a legitimate empty cache). A non-empty file
+ * that does not start with the segment magic - a v3/v2 text cache
+ * from an older build, or not a cache at all - is fatal, naming
+ * `migc_sweep --convert`, and is left untouched: every v4 file
+ * starts with a magic, since its first write is always a whole
+ * tmp+rename segment. The segment views point into the mapping and
+ * live as long as this object.
+ */
+class V4SegmentFile
+{
+  public:
+    explicit V4SegmentFile(const std::string &path);
+    ~V4SegmentFile();
+
+    V4SegmentFile(const V4SegmentFile &) = delete;
+    V4SegmentFile &operator=(const V4SegmentFile &) = delete;
+
+    /** False when the file could not be opened (missing). */
+    bool exists() const { return exists_; }
+
+    /** File size in bytes; 0 for a missing or empty file. */
+    std::size_t bytes() const { return len_; }
+
+    /** The valid segments, in file order. */
+    const std::vector<V4SegmentView> &segments() const
+    {
+        return segments_;
+    }
+
+    /** Why the segment at damagedAt() failed validation; empty when
+     *  the whole file parsed. */
+    const std::string &damage() const { return damage_; }
+
+    /** Byte offset of the first damaged segment (see damage()). */
+    std::size_t damagedAt() const { return damagedAt_; }
+
+  private:
+    void *base_ = nullptr;
+    std::size_t len_ = 0;
+    bool exists_ = false;
+    std::vector<V4SegmentView> segments_;
+    std::string damage_;
+    std::size_t damagedAt_ = 0;
+};
+
 /** Segments parseable from the front of @p path (stops at the first
- *  damaged one); 0 for missing/non-v4 files. Test/introspection. */
+ *  damaged one); 0 for a missing file. Test/introspection. */
 std::size_t v4SegmentCount(const std::string &path);
+
+/**
+ * Write @p bytes to @p path through a per-process tmp file and a
+ * rename, so readers never observe a half-written file and
+ * concurrent writers never share a tmp file; the tmp file is removed
+ * on any failure. Every whole-file write of a cache, a pushed or
+ * fetched shard, the merged join output and a figure CSV goes
+ * through here. @return false (with @p error set, when given) on
+ * failure.
+ */
+bool writeFileAtomic(const std::string &path, const std::string &bytes,
+                     std::string *error = nullptr);
 
 /**
  * One validated single-segment v4 image - the unit a CacheSnapshot
@@ -149,9 +225,9 @@ std::size_t v4SegmentCount(const std::string &path);
  * canonical image RunCache::snapshot() builds, or the delta of fresh
  * rows migc_serve publishes). Either way the image is one canonical
  * sorted run whose checksum verified; multi-segment files with
- * pending appends and torn tails do not qualify and must go through
- * RunCache's parsing loader instead. The bytes live until the last
- * shared_ptr drops.
+ * pending appends and torn tails do not qualify and are read segment
+ * by segment through V4SegmentFile instead. The bytes live until the
+ * last shared_ptr drops.
  */
 class MappedCacheV4
 {
@@ -186,13 +262,10 @@ class MappedCacheV4
     std::int64_t findRow(std::string_view sig, std::string_view workload,
                          std::string_view policy) const;
 
-    /** (sig, workload, policy) of one row, as views into the image;
-     *  compares in canonical order across images. */
-    using KeyStrings = std::tuple<std::string_view, std::string_view,
-                                  std::string_view>;
+    using KeyStrings = V4SegmentView::KeyStrings;
 
-    /** The key strings of row @p idx. */
-    KeyStrings keyAt(std::size_t idx) const;
+    /** The key strings of row @p idx (V4SegmentView::keyAt). */
+    KeyStrings keyAt(std::size_t idx) const { return seg_.keyAt(idx); }
 
     /** One config section: key range [begin, end) in the row
      *  columns; every key in it shares keys[begin].sig. */

@@ -312,39 +312,6 @@ parseU64Strict(const std::string &tok, std::uint64_t &out)
     return true;
 }
 
-/** Write @p bytes at @p path via tmp+rename (the shard-cache
- *  discipline: readers never observe a half-written file). */
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes,
-                std::string *error)
-{
-    const std::string tmp = path + ".pushtmp";
-    {
-        std::ofstream out(tmp,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            *error = csprintf("cannot open %s for writing",
-                              tmp.c_str());
-            return false;
-        }
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.flush();
-        if (!out) {
-            *error = csprintf("short write to %s", tmp.c_str());
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        *error = csprintf("rename %s -> %s failed", tmp.c_str(),
-                          path.c_str());
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 FleetServer::FleetServer(std::string endpoint_spec, FleetQueue queue,

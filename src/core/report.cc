@@ -1,13 +1,12 @@
 #include "core/report.hh"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
+#include <sstream>
 
+#include "core/cache_v4.hh"
 #include "sim/logging.hh"
 
 namespace migc
@@ -60,36 +59,22 @@ writeFigureCsv(const std::string &path, const FigureData &fig)
 {
     // Write-then-rename, like the run cache: concurrent processes
     // writing the same figure in one directory each land a complete
-    // file instead of interleaving into the same ofstream.
-    std::string tmp = csprintf("%s.%d.tmp", path.c_str(),
-                               static_cast<int>(::getpid()));
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out) {
-            warn("could not write figure CSV to %s", path.c_str());
-            return;
-        }
-        out << "workload";
-        for (const auto &s : fig.series)
-            out << "," << s;
+    // file instead of interleaving into one.
+    std::ostringstream out;
+    out << "workload";
+    for (const auto &s : fig.series)
+        out << "," << s;
+    out << "\n";
+    for (std::size_t w = 0; w < fig.workloads.size(); ++w) {
+        out << fig.workloads[w];
+        for (std::size_t s = 0; s < fig.series.size(); ++s)
+            out << "," << fig.values[s][w];
         out << "\n";
-        for (std::size_t w = 0; w < fig.workloads.size(); ++w) {
-            out << fig.workloads[w];
-            for (std::size_t s = 0; s < fig.series.size(); ++s)
-                out << "," << fig.values[s][w];
-            out << "\n";
-        }
-        if (!out.good()) {
-            std::remove(tmp.c_str());
-            warn("could not write figure CSV to %s", path.c_str());
-            return;
-        }
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("could not move figure CSV into place at %s",
-             path.c_str());
-        std::remove(tmp.c_str());
-    }
+    std::string error;
+    if (!writeFileAtomic(path, out.str(), &error))
+        warn("could not write figure CSV to %s: %s", path.c_str(),
+             error.c_str());
 }
 
 double

@@ -1,16 +1,14 @@
 #include "core/shard.hh"
 
-#include <unistd.h>
-
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
+#include <numeric>
+#include <set>
 #include <string_view>
-#include <vector>
-
-#include <map>
 #include <tuple>
+#include <vector>
 
 #include "core/cache_v4.hh"
 #include "core/sweep_engine.hh"
@@ -20,179 +18,6 @@
 
 namespace migc
 {
-
-namespace
-{
-
-bool
-fileExists(const std::string &path)
-{
-    return static_cast<bool>(std::ifstream(path));
-}
-
-long
-fileSize(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return -1;
-    std::fseek(f, 0, SEEK_END);
-    const long n = std::ftell(f);
-    std::fclose(f);
-    return n;
-}
-
-/**
- * The zero-copy coordinator join: when the canonical cache and every
- * non-empty shard file are clean single-segment v4, merge them with
- * one k-way walk over the mapped, already-sorted key columns -
- * no RunCache, no per-row map inserts, no materialized RunMetrics -
- * and write the result as one canonical segment via tmp+rename.
- * Semantics match the sequential merge exactly: earlier inputs win
- * (canonical first, then shard 0..N-1), identical losing rows count
- * as duplicates, a differing row for the same key is fatal before
- * anything is written or removed.
- *
- * @return false (having written nothing) when any input disqualifies
- * the fast path - appended multi-segment files, torn tails, non-v4
- * bytes - so the caller falls back to the general RunCache merge
- * (which refuses non-v4 input loudly).
- */
-bool
-mergeShardCachesV4(const std::string &base, unsigned shards,
-                   ShardMergeStats &stats)
-{
-    struct Input
-    {
-        std::string path;
-        std::shared_ptr<const MappedCacheV4> file;
-        std::size_t next = 0;
-        bool shard = false; ///< counts toward stats.rows
-    };
-    using MergeKey = MappedCacheV4::KeyStrings;
-
-    std::vector<Input> inputs;
-    std::vector<std::string> consumed;
-    if (fileSize(base) > 0) {
-        std::string why;
-        auto file = MappedCacheV4::map(base, &why);
-        if (file == nullptr)
-            return false;
-        inputs.push_back(Input{base, std::move(file), 0, false});
-    }
-    for (unsigned i = 0; i < shards; ++i) {
-        const std::string path = shardCachePath(base, i);
-        const long bytes = fileSize(path);
-        if (bytes < 0)
-            continue;
-        if (bytes == 0) {
-            // A worker SIGKILL'd before its first checkpoint leaves
-            // a zero-length file: a legitimate empty cache, merged
-            // as zero rows and consumed like any other shard input.
-            stats.files += 1;
-            consumed.push_back(path);
-            continue;
-        }
-        std::string why;
-        auto file = MappedCacheV4::map(path, &why);
-        if (file == nullptr)
-            return false;
-        stats.files += 1;
-        consumed.push_back(path);
-        inputs.push_back(Input{path, std::move(file), 0, true});
-    }
-
-    std::vector<V4RowRef> out;
-    {
-        std::size_t total = 0;
-        for (const Input &in : inputs)
-            total += in.file->rows();
-        out.reserve(total);
-    }
-    for (;;) {
-        // Smallest live key across the input heads; the earliest
-        // input breaks ties, so canonical rows take priority over
-        // shard rows - the held-rows-win rule of the sequential
-        // merge.
-        int winner = -1;
-        MergeKey best;
-        for (std::size_t j = 0; j < inputs.size(); ++j) {
-            const Input &in = inputs[j];
-            if (in.next >= in.file->rows())
-                continue;
-            MergeKey key = in.file->keyAt(in.next);
-            if (winner < 0 || key < best) {
-                winner = static_cast<int>(j);
-                best = key;
-            }
-        }
-        if (winner < 0)
-            break;
-        Input &win = inputs[winner];
-        const V4Row &wrow = win.file->segment().rows[win.next];
-        out.push_back(V4RowRef{std::get<0>(best), std::get<1>(best),
-                               std::get<2>(best), wrow});
-        if (win.shard)
-            stats.rows += 1;
-        ++win.next;
-        // Retire every other input's copy of this key.
-        for (std::size_t j = 0; j < inputs.size(); ++j) {
-            Input &in = inputs[j];
-            if (static_cast<int>(j) == winner ||
-                in.next >= in.file->rows() ||
-                in.file->keyAt(in.next) != best)
-                continue;
-            const V4Row &lrow = in.file->segment().rows[in.next];
-            // Bitwise equality is the common deterministic case; on
-            // a mismatch, fall back to the serialized comparison the
-            // sequential merge uses, so a bit pattern that formats
-            // identically (e.g. -0.0 vs 0.0) still counts as a
-            // duplicate rather than aborting the join.
-            if (std::memcmp(&lrow, &wrow, sizeof(V4Row)) == 0 ||
-                csvRow(std::get<1>(best), std::get<2>(best), lrow) ==
-                    csvRow(std::get<1>(best), std::get<2>(best), wrow)) {
-                stats.duplicates += 1;
-            } else {
-                fatal("shard cache %s: row for %s/%s conflicts with "
-                      "%s for the same (config, workload, policy) - "
-                      "the shards did not run the same deterministic "
-                      "sweep; refusing to merge (inputs left on "
-                      "disk)",
-                      in.path.c_str(),
-                      std::string(std::get<1>(best)).c_str(),
-                      std::string(std::get<2>(best)).c_str(),
-                      win.path.c_str());
-            }
-            ++in.next;
-        }
-    }
-
-    const std::string merged = buildV4Segment(out);
-    const std::string tmp = csprintf("%s.%d.tmp", base.c_str(),
-                                     static_cast<int>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    bool ok = f != nullptr;
-    if (ok) {
-        ok = std::fwrite(merged.data(), 1, merged.size(), f) ==
-             merged.size();
-        ok = (std::fclose(f) == 0) && ok;
-    }
-    if (ok && std::rename(tmp.c_str(), base.c_str()) != 0)
-        ok = false;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        // Same contract as the general path: the shard inputs are
-        // only consumed once the canonical file is safely on disk.
-        fatal("could not write merged cache %s; shard inputs left "
-              "on disk",
-              base.c_str());
-    }
-    for (const std::string &path : consumed)
-        std::remove(path.c_str());
-    return true;
-}
-
-} // namespace
 
 std::uint64_t
 runKeyHash(const std::string &sig, const std::string &workload,
@@ -233,49 +58,181 @@ mergeShardCaches(const std::string &base, unsigned shards)
              "(MIGC_NO_CACHE sweeps leave nothing to merge)");
     fatal_if(shards < 1, "cannot merge zero shards");
 
-    // Zero-copy k-way fast path: compacted inputs merge over their
-    // mapped sorted key columns without parsing a row (falls through
-    // to the general path on any fragmented or damaged input).
+    // Every input is opened (and a non-v4 one refused) before
+    // anything is written or removed. Input order is priority order:
+    // the canonical file, then shards 0..N-1.
+    struct Input
     {
-        ShardMergeStats fast;
-        if (mergeShardCachesV4(base, shards, fast))
-            return fast;
+        std::string path;
+        std::unique_ptr<const V4SegmentFile> file;
+        bool shard; ///< counts toward the merge stats
+    };
+    ShardMergeStats stats;
+    std::vector<Input> inputs;
+    inputs.push_back(
+        Input{base, std::make_unique<const V4SegmentFile>(base), false});
+    for (unsigned i = 0; i < shards; ++i) {
+        std::string path = shardCachePath(base, i);
+        auto file = std::make_unique<const V4SegmentFile>(path);
+        if (!file->exists())
+            continue; // a worker whose slice was fully cached
+        // A zero-length shard (a worker SIGKILLed before its first
+        // checkpoint) is consumed as an empty input.
+        stats.files += 1;
+        inputs.push_back(Input{std::move(path), std::move(file), true});
     }
 
-    // The canonical RunCache loads whatever the file already holds;
-    // each shard file then unions in. Conflicting rows abort before
-    // anything is rewritten or removed, so the inputs survive for
-    // inspection.
-    RunCache canonical(base);
-    ShardMergeStats stats;
-    std::vector<std::string> merged;
-    for (unsigned i = 0; i < shards; ++i) {
-        const std::string path = shardCachePath(base, i);
-        if (!fileExists(path))
-            continue;
-        RunCache::MergeStats r = canonical.mergeFile(path);
-        fatal_if(r.conflicts > 0,
-                 "shard cache %s: %zu row%s conflict with rows already "
-                 "merged for the same (config, workload, policy) - "
-                 "the shards did not run the same deterministic sweep; "
-                 "refusing to merge (inputs left on disk)",
-                 path.c_str(), r.conflicts, r.conflicts == 1 ? "" : "s");
-        stats.files += 1;
-        stats.rows += r.rows;
-        stats.duplicates += r.duplicates;
-        stats.parseErrors += r.parseErrors;
-        merged.push_back(path);
+    // The runs of the k-way walk: every valid segment of every input,
+    // in input order and then file order. Fragmented files (appended
+    // checkpoints, pushed mid-run copies) and torn ones (a damaged
+    // tail, counted and dropped) take the same walk as compacted ones.
+    using MergeKey = V4SegmentView::KeyStrings;
+    struct Run
+    {
+        const Input *input;
+        const V4SegmentView *seg;
+        std::uint64_t next;
+        MergeKey head;
+    };
+    std::vector<Run> runs;
+    std::size_t total = 0;
+    for (const Input &in : inputs) {
+        const V4SegmentFile &file = *in.file;
+        if (!file.damage().empty()) {
+            stats.parseErrors += in.shard ? 1 : 0;
+            warn("sweep cache %s: damaged v4 segment at byte %zu (%s); "
+                 "merging only its earlier segments",
+                 in.path.c_str(), file.damagedAt(),
+                 file.damage().c_str());
+        }
+        for (const V4SegmentView &seg : file.segments()) {
+            if (seg.rowCount > 0)
+                runs.push_back(Run{&in, &seg, 0, seg.keyAt(0)});
+            total += seg.rowCount;
+        }
     }
+
+    // A min-heap of runs by (head key, run index): the top is the
+    // earliest run holding the smallest key, which wins it; every
+    // other run whose head is that key loses its copy.
+    auto after = [&runs](std::size_t a, std::size_t b) {
+        return std::tie(runs[a].head, a) > std::tie(runs[b].head, b);
+    };
+    std::vector<std::size_t> heap(runs.size());
+    std::iota(heap.begin(), heap.end(), std::size_t{0});
+    std::make_heap(heap.begin(), heap.end(), after);
+    auto popRun = [&] {
+        std::pop_heap(heap.begin(), heap.end(), after);
+        const std::size_t r = heap.back();
+        heap.pop_back();
+        return r;
+    };
+    auto advance = [&](std::size_t r) {
+        Run &run = runs[r];
+        if (++run.next < run.seg->rowCount) {
+            run.head = run.seg->keyAt(run.next);
+            heap.push_back(r);
+            std::push_heap(heap.begin(), heap.end(), after);
+        }
+    };
+
+    std::vector<V4RowRef> out;
+    out.reserve(total);
+    std::size_t canonical_conflicts = 0;
+    while (!heap.empty()) {
+        const std::size_t w = popRun();
+        const Run &win = runs[w];
+        const MergeKey key = win.head;
+        const auto &[sig, workload, policy] = key;
+        const V4Row &wrow = win.seg->rows[win.next];
+        out.push_back(V4RowRef{sig, workload, policy, wrow});
+        stats.rows += win.input->shard ? 1 : 0;
+        // Each run is sorted unique, so the winner's next key is
+        // larger and cannot surface among this key's losers.
+        advance(w);
+        while (!heap.empty() && runs[heap.front()].head == key) {
+            const std::size_t l = popRun();
+            const Run &lose = runs[l];
+            const V4Row &lrow = lose.seg->rows[lose.next];
+            // Bitwise equality is the common deterministic case; on a
+            // mismatch the serialized forms decide, so a bit pattern
+            // that formats identically (e.g. -0.0 vs 0.0) still
+            // counts as a duplicate.
+            if (std::memcmp(&lrow, &wrow, sizeof(V4Row)) == 0 ||
+                csvRow(workload, policy, lrow) ==
+                    csvRow(workload, policy, wrow)) {
+                stats.duplicates += lose.input->shard ? 1 : 0;
+            } else if (!lose.input->shard) {
+                // Only an earlier canonical segment can beat a
+                // canonical row: keep the first, as a load would.
+                ++canonical_conflicts;
+            } else {
+                fatal("shard cache %s: row for %s/%s conflicts with "
+                      "%s for the same (config, workload, policy) - "
+                      "the shards did not run the same deterministic "
+                      "sweep; refusing to merge (inputs left on "
+                      "disk)",
+                      lose.input->path.c_str(),
+                      std::string(workload).c_str(),
+                      std::string(policy).c_str(),
+                      win.input->path.c_str());
+            }
+            advance(l);
+        }
+    }
+    if (canonical_conflicts > 0) {
+        warn("sweep cache %s: %zu row%s conflict with earlier rows for "
+             "the same key (kept the earlier rows)",
+             base.c_str(), canonical_conflicts,
+             canonical_conflicts == 1 ? "" : "s");
+    }
+
     // The shard inputs are only consumed once the canonical file is
     // safely on disk; a failed write (full disk, unwritable
     // directory) must not cost the workers their results.
-    fatal_if(!canonical.saveNow(),
-             "could not write merged cache %s; shard inputs left on "
-             "disk",
-             base.c_str());
-    for (const std::string &path : merged)
-        std::remove(path.c_str());
+    std::string error;
+    fatal_if(!writeFileAtomic(base, buildV4Segment(out), &error),
+             "could not write merged cache %s (%s); shard inputs left "
+             "on disk",
+             base.c_str(), error.c_str());
+    for (const Input &in : inputs) {
+        if (in.shard)
+            std::remove(in.path.c_str());
+    }
     return stats;
+}
+
+FleetPlan
+planPending(const std::vector<RunRequest> &requests,
+            const std::vector<std::string> &sigs, const RunCache &cache)
+{
+    FleetPlan plan;
+    plan.costs.assign(requests.size(), 0.0);
+    std::set<std::tuple<std::string_view, std::string_view,
+                        std::string_view>>
+        seen;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const RunRequest &req = requests[i];
+        if (cache.find(sigs[i], req.workload, req.policy) != nullptr) {
+            ++plan.cached;
+            continue;
+        }
+        // Duplicate grid points run (and lease) once; the result
+        // answers every copy.
+        if (!seen.emplace(sigs[i], req.workload, req.policy).second)
+            continue;
+        // A prior run of the pair is the best predictor of length;
+        // failing that, the simulated footprint is a stable proxy.
+        double est = cache.estimateEvents(req.workload, req.policy);
+        if (est <= 0.0) {
+            est = static_cast<double>(
+                makeWorkload(req.workload)
+                    ->footprintBytes(req.cfg.workloadScale));
+        }
+        plan.costs[i] = est;
+        plan.pending.push_back(static_cast<std::uint32_t>(i));
+    }
+    return plan;
 }
 
 FleetPlan
@@ -289,43 +246,21 @@ planFleetSweep(const std::vector<RunRequest> &requests,
     // shard files must stay on disk untouched until the join merge
     // consumes them.
     RunCache probe{std::string()};
-    if (!cache.empty())
+    std::size_t resumed = 0;
+    if (!cache.empty()) {
         probe.mergeFile(cache);
-
-    FleetPlan plan;
-    plan.costs.assign(requests.size(), 0.0);
-    if (!cache.empty() && resume) {
-        std::size_t before = probe.size();
-        for (unsigned i = 0; i < shards; ++i)
+        const std::size_t before = probe.size();
+        for (unsigned i = 0; resume && i < shards; ++i)
             probe.mergeFile(shardCachePath(cache, i));
-        plan.resumedRows = probe.size() - before;
+        resumed = probe.size() - before;
     }
 
-    std::map<std::tuple<std::string, std::string, std::string>, bool>
-        seen;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const RunRequest &req = requests[i];
-        const std::string sig = req.cfg.signature();
-        if (probe.find(sig, req.workload, req.policy) != nullptr) {
-            ++plan.cached;
-            continue;
-        }
-        // Duplicate grid points lease (and simulate) once; the
-        // result answers every copy at replay time.
-        if (!seen.emplace(std::make_tuple(sig, req.workload,
-                                          req.policy),
-                          true)
-                 .second)
-            continue;
-        double est = probe.estimateEvents(req.workload, req.policy);
-        if (est <= 0.0) {
-            est = static_cast<double>(
-                makeWorkload(req.workload)
-                    ->footprintBytes(req.cfg.workloadScale));
-        }
-        plan.costs[i] = est;
-        plan.pending.push_back(static_cast<std::uint32_t>(i));
-    }
+    std::vector<std::string> sigs;
+    sigs.reserve(requests.size());
+    for (const RunRequest &req : requests)
+        sigs.push_back(req.cfg.signature());
+    FleetPlan plan = planPending(requests, sigs, probe);
+    plan.resumedRows = resumed;
     return plan;
 }
 

@@ -1,7 +1,5 @@
 #include "core/sweep_engine.hh"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -109,77 +107,32 @@ RunCache::mergeFromFile(const std::string &path,
 {
     MergeStats stats;
     const bool own = path == path_;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        if (own)
-            fileState_ = FileState::absent;
-        return stats;
-    }
-    std::fseek(f, 0, SEEK_END);
-    const long flen = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    // A u64 vector keeps the buffer 8-byte aligned, which is what
-    // parseV4Segment's typed column views require.
-    std::vector<std::uint64_t> words(
-        (static_cast<std::size_t>(flen > 0 ? flen : 0) + 7) / 8, 0);
-    const std::size_t got =
-        flen > 0 ? std::fread(words.data(), 1,
-                              static_cast<std::size_t>(flen), f)
-                 : 0;
-    std::fclose(f);
-    const char *buf = reinterpret_cast<const char *>(words.data());
-
-    // A zero-length file is a legitimate empty cache, not a corrupt
-    // one - a fleet worker SIGKILL'd before its first checkpoint can
-    // leave one behind, and its slice must merge as zero rows.
-    if (got == 0) {
-        if (own)
-            fileState_ = FileState::absent;
-        return stats;
-    }
-    // Every v4 file starts with a segment magic (the first write is
-    // always a whole tmp+rename segment), so anything else is a text
-    // cache from an older build or not a cache at all. Refuse it
-    // before any write could replace it.
-    fatal_if(got < sizeof(kV4SegMagic) || !isV4Magic(buf),
-             "sweep cache %s is not a v4 cache (a v3/v2 text cache or "
-             "an unrecognized file); it was left untouched. Convert a "
-             "text cache once with `migc_sweep --cache %s --convert`",
-             path.c_str(), path.c_str());
-
-    const bool durable = own;
-    bool damaged = false;
-    std::size_t off = 0;
-    while (off < got) {
-        V4SegmentView seg;
-        std::string why;
-        if (!parseV4Segment(buf + off, got - off, seg, &why)) {
-            damaged = true;
-            // The damaged tail counts as one parse error, deduped
-            // per (file, offset, reason) so a checkpoint's re-read
-            // does not recount it.
-            const std::string key =
-                path + '\n' +
-                csprintf("segment@%zu:%s", off, why.c_str());
-            if (badLines_.insert(key).second) {
-                ++stats.parseErrors;
-                ++parseErrors_;
-            }
-            warn("sweep cache %s: damaged v4 segment at byte %zu "
-                 "(%s); keeping the %zu row%s of earlier segments",
-                 path.c_str(), off, why.c_str(), stats.rows,
-                 stats.rows == 1 ? "" : "s");
-            break;
+    const V4SegmentFile file(path);
+    for (const V4SegmentView &seg : file.segments())
+        mergeV4Segment(seg, classify_collisions, /*durable=*/own, stats);
+    if (!file.damage().empty()) {
+        // The damaged tail counts as one parse error, deduped per
+        // (file, offset, reason) so a checkpoint's re-read does not
+        // recount it.
+        const std::string key =
+            path + '\n' + csprintf("segment@%zu:%s", file.damagedAt(),
+                                   file.damage().c_str());
+        if (badLines_.insert(key).second) {
+            ++stats.parseErrors;
+            ++parseErrors_;
         }
-        mergeV4Segment(seg, classify_collisions, durable, stats);
-        off += seg.bytes;
+        warn("sweep cache %s: damaged v4 segment at byte %zu "
+             "(%s); keeping only its earlier segments",
+             path.c_str(), file.damagedAt(), file.damage().c_str());
     }
     if (own) {
         // A damaged tail must not take appends: a fresh segment
         // after garbage would be unreachable (readers stop at the
         // first damaged segment), so the next durable write compacts
         // instead.
-        fileState_ = damaged ? FileState::damaged : FileState::clean;
+        fileState_ = file.bytes() == 0           ? FileState::absent
+                     : !file.damage().empty() ? FileState::damaged
+                                              : FileState::clean;
     }
     return stats;
 }
@@ -344,27 +297,12 @@ RunCache::serialize(CacheFormat format) const
 bool
 RunCache::writeTo(const std::string &path, CacheFormat format) const
 {
-    // The pid suffix keeps concurrent processes' tmp files private.
-    const std::string bytes = serialize(format);
-    const std::string tmp = csprintf("%s.%d.tmp", path.c_str(),
-                                     static_cast<int>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr)
-        return false;
-    bool ok =
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("could not move sweep cache into place at %s",
-             path.c_str());
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    std::string error;
+    if (writeFileAtomic(path, serialize(format), &error))
+        return true;
+    warn("could not write sweep cache %s: %s", path.c_str(),
+         error.c_str());
+    return false;
 }
 
 bool
@@ -629,17 +567,10 @@ SweepEngine::SweepEngine(std::string cache_path, FleetWorkerSpec fleet)
                      ? cache_path
                      : shardCachePath(cache_path, fleet.index))
 {
-    if (cache_path.empty()) {
+    if (cache_path.empty())
         warn("fleet worker %u with the cache disabled: its results "
              "stay in memory and cannot be merged",
              fleet.index);
-        return;
-    }
-    // Warm-start from the canonical cache into the read-only side
-    // store: points some earlier sweep already merged replay from it
-    // instead of being resimulated, while the writable shard file
-    // stays limited to this worker's own fresh rows.
-    warm_.mergeFile(cache_path);
 }
 
 RunCache &
@@ -657,31 +588,13 @@ SweepEngine::cacheFileFormat() const
     return cache().loadedFormatName();
 }
 
-const RunMetrics *
-SweepEngine::findCached(const std::string &sig,
-                        const std::string &workload,
-                        const std::string &policy) const
-{
-    if (const RunMetrics *m = cache().find(sig, workload, policy))
-        return m;
-    return warm_.find(sig, workload, policy);
-}
-
-double
-SweepEngine::estimateFor(const std::string &workload,
-                         const std::string &policy) const
-{
-    return std::max(cache().estimateEvents(workload, policy),
-                    warm_.estimateEvents(workload, policy));
-}
-
 SweepEngine::~SweepEngine() = default;
 
 std::size_t
 SweepEngine::cacheParseErrors() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return cache().parseErrors() + warm_.parseErrors();
+    return cache().parseErrors();
 }
 
 const RunMetrics &
@@ -691,7 +604,7 @@ SweepEngine::get(const SimConfig &cfg, const std::string &workload,
     const std::string sig = cfg.signature();
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (const RunMetrics *m = findCached(sig, workload, policy)) {
+        if (const RunMetrics *m = cache().find(sig, workload, policy)) {
             hits_.fetch_add(1, std::memory_order_relaxed);
             return *m;
         }
@@ -703,7 +616,7 @@ SweepEngine::get(const SimConfig &cfg, const std::string &workload,
     RunMetrics m = runNamedWorkload(workload, cfg, policy);
 
     std::lock_guard<std::mutex> lk(mu_);
-    if (const RunMetrics *prior = findCached(sig, workload, policy)) {
+    if (const RunMetrics *prior = cache().find(sig, workload, policy)) {
         // Lost a race with another thread simulating the same point;
         // both computed identical metrics, keep the first.
         return *prior;
@@ -751,46 +664,22 @@ SweepEngine::runJob(const Job &job, std::unique_ptr<System> &sys,
 std::vector<RunMetrics>
 SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
 {
-    // Phase 1: split the batch into cached points and missing jobs,
-    // deduplicating repeated grid points.
+    // Phase 1: split the batch into cached points and costed missing
+    // jobs (the same plan a fleet coordinator leases from).
     std::vector<std::string> sigs;
     sigs.reserve(requests.size());
+    for (const RunRequest &req : requests)
+        sigs.push_back(req.cfg.signature());
     std::vector<Job> missing;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        std::map<std::tuple<std::string, std::string, std::string>,
-                 bool>
-            seen;
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            const RunRequest &req = requests[i];
-            sigs.push_back(req.cfg.signature());
-            if (findCached(sigs[i], req.workload, req.policy)) {
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                continue;
-            }
-            auto key = std::make_tuple(sigs[i], req.workload,
-                                       req.policy);
-            if (!seen.emplace(std::move(key), true).second)
-                continue;
-            missing.push_back(Job{&req, sigs[i],
-                                  estimateFor(req.workload,
-                                              req.policy),
-                                  i});
-        }
+        const FleetPlan plan = planPending(requests, sigs, cache());
+        hits_.fetch_add(plan.cached, std::memory_order_relaxed);
+        for (std::uint32_t i : plan.pending)
+            missing.push_back(
+                Job{&requests[i], sigs[i], plan.costs[i], i});
     }
     if (!missing.empty()) {
-        // Fill unknown costs from a workload-size heuristic: the
-        // simulated footprint is a stable proxy for run length when
-        // no prior run of the pair exists. Heuristic and measured
-        // costs only ever order runs, never change them.
-        for (Job &job : missing) {
-            if (job.estimate <= 0.0) {
-                job.estimate = static_cast<double>(
-                    makeWorkload(job.req->workload)
-                        ->footprintBytes(job.req->cfg.workloadScale));
-            }
-        }
-
         // Longest-job-first; submission order breaks ties so the
         // schedule is reproducible.
         std::sort(missing.begin(), missing.end(),
@@ -857,8 +746,7 @@ SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
         // a truncated cache cannot pass for a cold one - how many
         // cache rows were lost to parse errors.
         std::lock_guard<std::mutex> lk(mu_);
-        const std::size_t lost = cache().parseErrors() +
-                                 warm_.parseErrors();
+        const std::size_t lost = cache().parseErrors();
         inform("sweep batch done: %zu simulated, %zu cache parse "
                "error%s",
                missing.size(), lost, lost == 1 ? "" : "s");
@@ -869,8 +757,8 @@ SweepEngine::run(const std::vector<RunRequest> &requests, unsigned jobs)
     results.reserve(requests.size());
     std::lock_guard<std::mutex> lk(mu_);
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        const RunMetrics *m = findCached(sigs[i], requests[i].workload,
-                                         requests[i].policy);
+        const RunMetrics *m = cache().find(
+            sigs[i], requests[i].workload, requests[i].policy);
         panic_if(m == nullptr, "sweep engine lost a result for %s/%s",
                  requests[i].workload.c_str(),
                  requests[i].policy.c_str());
@@ -914,29 +802,17 @@ SweepEngine::runFleet(const std::vector<RunRequest> &requests,
             return; // stolen (or the lease went stale): not ours
         const RunRequest &req = requests[key];
         const std::string sig = req.cfg.signature();
+        // A cached hit is a row already durable in this worker's own
+        // shard file (a resumed or re-leased key): the push below
+        // carries it like any fresh row.
         bool cached;
         {
             std::lock_guard<std::mutex> lk(mu_);
-            cached =
-                findCached(sig, req.workload, req.policy) != nullptr;
+            cached = cache().find(sig, req.workload, req.policy) !=
+                     nullptr;
         }
         if (cached) {
             hits_.fetch_add(1, std::memory_order_relaxed);
-            if (client.pushEnabled()) {
-                // In the no-shared-filesystem mode, the only bytes
-                // the coordinator ever sees are pushed shard files -
-                // so a row satisfied from the warm import must be
-                // promoted into the writable shard cache before this
-                // key is reported done (insert is first-write-wins:
-                // a row already in the shard cache is a no-op).
-                std::lock_guard<std::mutex> lk(mu_);
-                const RunMetrics *m =
-                    findCached(sig, req.workload, req.policy);
-                if (m != nullptr) {
-                    cache().insert(sig, *m);
-                    cache().checkpoint();
-                }
-            }
         } else {
             Job job{&req, sig, 0.0, key};
             RunMetrics m = runJob(job, sys, sys_structure);

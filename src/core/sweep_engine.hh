@@ -108,10 +108,11 @@ struct RunRequest
 std::uint64_t gridFingerprint(const std::vector<RunRequest> &requests);
 
 /**
- * Tag selecting SweepEngine's fleet-worker constructor: the engine
- * writes fresh rows to the private shardCachePath(cache, index) file
- * and warm-imports the canonical cache read-only; the coordinator's
- * leases decide what it runs.
+ * Tag selecting SweepEngine's fleet-worker constructor: the engine's
+ * one cache is the private shardCachePath(cache, index) file, and the
+ * coordinator's leases decide what it runs. The worker never reads
+ * the canonical file - the coordinator's plan leases only keys it
+ * lacks.
  */
 struct FleetWorkerSpec
 {
@@ -213,9 +214,9 @@ class RunCache
 
     /**
      * Union another v4 cache file into memory without writing
-     * anything; rows already held win. This is how a fleet worker
-     * warm-starts from the canonical cache and how the coordinator
-     * folds shard files back in (shard.hh). A missing or zero-length
+     * anything; rows already held win. This is how the fleet
+     * coordinator's plan reads the canonical cache and, on resume,
+     * the partial shard files (shard.hh). A missing or zero-length
      * file merges zero rows; a non-v4 file is fatal, like a non-v4
      * file at this cache's own path.
      */
@@ -470,11 +471,11 @@ class SweepEngine
     explicit SweepEngine(std::string cache_path);
 
     /**
-     * Fleet-worker engine (see FleetWorkerSpec): fresh results go to
-     * the private shard cache of @p fleet.index, the canonical file
-     * is warm-imported into a read-only side store (served, never
-     * rewritten, so shard files stay small), and runFleet() simulates
-     * exactly what the coordinator leases.
+     * Fleet-worker engine (see FleetWorkerSpec): its one cache is the
+     * private shard cache of @p fleet.index - the canonical file at
+     * @p cache_path is never read - so the shard file holds only this
+     * worker's own rows, and runFleet() simulates exactly what the
+     * coordinator leases.
      */
     SweepEngine(std::string cache_path, FleetWorkerSpec fleet);
 
@@ -535,16 +536,15 @@ class SweepEngine
     void flush();
 
     /**
-     * Immutable snapshot of the writable cache (RunCache::snapshot):
+     * Immutable snapshot of the engine's cache (RunCache::snapshot):
      * its canonical v4 image, safe for concurrent lock-free queries
-     * and valid independent of later engine activity. A fleet
-     * worker's warm side store is not part of it - no serving engine
-     * is a fleet worker. migc_serve (src/serve/) starts from this
-     * image when its cache file cannot be mapped.
+     * and valid independent of later engine activity. migc_serve
+     * (src/serve/) starts from this image when its cache file cannot
+     * be mapped.
      */
     std::shared_ptr<const CacheSnapshot> snapshot();
 
-    /** The writable cache's on-disk format at load ("v4", or "none"
+    /** The cache's on-disk format at load ("v4", or "none"
      *  for a missing/empty file; any other file is refused); loads
      *  the cache if this engine has not touched it yet. Operator-
      *  facing (migc_serve stats). */
@@ -575,19 +575,8 @@ class SweepEngine
     RunMetrics runJob(const Job &job, std::unique_ptr<System> &sys,
                       std::string &sys_structure);
 
-    /** Lookup across the writable cache and the warm side store
-     *  (writable rows win). Caller holds mu_. */
-    const RunMetrics *findCached(const std::string &sig,
-                                 const std::string &workload,
-                                 const std::string &policy) const;
-
-    /** Scheduler cost estimate across both stores. Caller holds
-     *  mu_. */
-    double estimateFor(const std::string &workload,
-                       const std::string &policy) const;
-
     /**
-     * The writable cache, constructed (and its file loaded) on
+     * The engine's one cache, constructed (and its file loaded) on
      * first touch. The laziness is what lets migc_serve answer its
      * first queries from an mmap'd snapshot without this engine
      * ever parsing the file - the cache materializes only when the
@@ -608,14 +597,6 @@ class SweepEngine
     /** Injected per-run straggler delay (setInjectedRunDelayMs). */
     unsigned slowMs_ = 0;
 
-    /**
-     * Read-only results imported from the canonical cache when this
-     * engine is a fleet worker (memory-only: constructed with an
-     * empty path, so it never writes). Keeping these out of the
-     * writable cache keeps the shard file down to this worker's own
-     * fresh rows instead of a full copy of the canonical cache.
-     */
-    RunCache warm_{std::string()};
     std::atomic<std::uint64_t> sims_{0};
     std::atomic<std::uint64_t> hits_{0};
 };

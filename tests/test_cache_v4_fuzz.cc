@@ -4,10 +4,11 @@
  *  their header counts, string ends, key ids and footer checksums
  *  mutated - usually re-signed with a fresh checksum, since the
  *  checksum is not a MAC and an attacker can compute it - and every
- *  mutant goes through parseV4Segment, RunCache::mergeFile and
- *  MappedCacheV4::map. Each must reject it, or accept it with every
- *  string end and key id in range; under the sanitizer build any
- *  read outside the buffer fails the run. */
+ *  mutant goes through parseV4Segment, RunCache::mergeFile,
+ *  MappedCacheV4::map and, as a pushed shard file, the coordinator
+ *  join (mergeShardCaches). Each must reject it, or accept it with
+ *  every string end and key id in range; under the sanitizer build
+ *  any read outside the buffer fails the run. */
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 
 #include "core/cache_snapshot.hh"
 #include "core/cache_v4.hh"
+#include "core/shard.hh"
 #include "core/sweep_engine.hh"
 #include "sim/rng.hh"
 
@@ -173,11 +175,14 @@ mutate(Rng &rng, std::string seg)
 
 /**
  * Parse @p bytes from an exactly-sized aligned heap copy and check
- * the accepted-segment invariants. @return whether it was accepted
- * (with @p rows set to its row count).
+ * the accepted-segment invariants. @return whether it was accepted,
+ * with @p rows set to its row count - or to ~0 when the accepted
+ * segment is shorter than @p bytes, whose tail then counts as damage
+ * - and @p segment_rows (when given) to its row count either way.
  */
 bool
-checkParse(const std::string &bytes, std::uint64_t &rows)
+checkParse(const std::string &bytes, std::uint64_t &rows,
+           std::uint64_t *segment_rows = nullptr)
 {
     std::vector<std::uint64_t> words(bytes.size() / 8);
     std::memcpy(words.data(), bytes.data(), bytes.size());
@@ -212,6 +217,8 @@ checkParse(const std::string &bytes, std::uint64_t &rows)
                fnv1a(seg.str(k.policy));
     }
     rows = seg.bytes == bytes.size() ? seg.rowCount : ~std::uint64_t(0);
+    if (segment_rows != nullptr)
+        *segment_rows = seg.rowCount;
     return true;
 }
 
@@ -253,6 +260,39 @@ checkFileReaders(const std::string &path, const std::string &bytes,
     }
 }
 
+/**
+ * Feed one mutant through the coordinator join as shard 0 of an
+ * empty canonical file at @p base - where a pushed payload's
+ * structure is first checked. A rejected mutant (or the damaged tail
+ * after an accepted segment) counts as one parse error, and the
+ * canonical file keeps only the valid segment before it, if any;
+ * every key id of the merged file is in range.
+ */
+void
+checkJoin(const std::string &base, const std::string &bytes,
+          bool accepted, std::uint64_t rows, std::uint64_t segment_rows)
+{
+    writeFile(base, "");
+    writeFile(shardCachePath(base, 0), bytes);
+    const ShardMergeStats stats = mergeShardCaches(base, 1);
+    EXPECT_EQ(stats.files, 1u);
+    const bool whole = accepted && rows != ~std::uint64_t(0);
+    EXPECT_EQ(stats.parseErrors, whole ? 0u : 1u);
+
+    std::string why;
+    auto merged = MappedCacheV4::map(base, &why);
+    ASSERT_NE(merged, nullptr) << why;
+    const std::uint64_t want = accepted ? segment_rows : 0;
+    EXPECT_EQ(merged->rows(), want);
+    EXPECT_EQ(stats.rows, want);
+    const V4SegmentView &seg = merged->segment();
+    for (std::size_t i = 0; i < merged->rows(); ++i) {
+        EXPECT_LT(seg.keys[i].sig, seg.stringCount);
+        EXPECT_LT(seg.keys[i].workload, seg.stringCount);
+        EXPECT_LT(seg.keys[i].policy, seg.stringCount);
+    }
+}
+
 /** One fuzz run: a digest of every verdict, so two runs with the same
  *  seed can be compared. */
 std::uint64_t
@@ -261,22 +301,26 @@ fuzz(std::uint64_t seed, bool with_files, int *accepted_out = nullptr,
 {
     const std::vector<std::string> seeds = seedSegments();
     const std::string path = tempPath("mutant");
+    const std::string base = tempPath("join");
     Rng rng(seed);
     std::uint64_t digest = fnv1a("migc-v4-fuzz");
     int accepted = 0, rejected = 0;
     for (int iter = 0; iter < kIterations; ++iter) {
         const std::string mutant =
             mutate(rng, seeds[rng.below(seeds.size())]);
-        std::uint64_t rows = 0;
-        const bool ok = checkParse(mutant, rows);
+        std::uint64_t rows = 0, segment_rows = 0;
+        const bool ok = checkParse(mutant, rows, &segment_rows);
         (ok ? accepted : rejected) += 1;
         digest = splitmix64(digest ^ (ok ? rows + 1 : 0));
-        if (with_files)
+        if (with_files) {
             checkFileReaders(path, mutant, ok, rows);
+            checkJoin(base, mutant, ok, rows, segment_rows);
+        }
         if (::testing::Test::HasFailure())
             break; // one report, not thousands
     }
     std::remove(path.c_str());
+    std::remove(base.c_str());
     if (accepted_out != nullptr)
         *accepted_out = accepted;
     if (rejected_out != nullptr)

@@ -1,8 +1,8 @@
 /** @file Tests for the multi-process shard layer under the fleet:
- *  run-key hash and grid fingerprint stability, fleet-worker shard
- *  files holding only their own fresh rows, and the coordinator
- *  merge (bit-identical to a single-process sweep, loud on
- *  conflicts). */
+ *  run-key hash and grid fingerprint stability, a fleet over a warm
+ *  canonical cache leasing (and shard files holding) only the new
+ *  rows, and the coordinator merge (bit-identical to a
+ *  single-process sweep, loud on conflicts). */
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "core/cache_v4.hh"
+#include "core/fleet.hh"
 #include "core/shard.hh"
 #include "core/sim_config.hh"
 #include "core/sweep_engine.hh"
@@ -201,56 +203,83 @@ TEST(FleetShards, MergedShardCachesAreBitIdenticalToSingleProcess)
     for (unsigned i = 0; i < 4; ++i)
         EXPECT_FALSE(fileExists(shardCachePath(sharded, i)));
 
-    // The merged canonical cache warm-starts both a plain engine and
-    // a fleet worker: neither simulates anything.
+    // The merged canonical cache warm-starts a plain engine: it
+    // simulates nothing.
     {
         SweepEngine engine(sharded);
         engine.run(grid);
         EXPECT_EQ(engine.simulationsPerformed(), 0u);
     }
-    {
-        SweepEngine engine(sharded, FleetWorkerSpec{1});
-        engine.run(grid);
-        EXPECT_EQ(engine.simulationsPerformed(), 0u);
-        EXPECT_EQ(engine.cacheHits(), grid.size());
-    }
     std::remove(solo.c_str());
     removeCacheFamily(sharded, 4);
 }
 
-TEST(FleetShards, ShardFilesHoldOnlyFreshRows)
+TEST(FleetShards, WarmCanonicalCacheLeasesOnlyTheNewPoint)
 {
-    // A worker must serve the canonical cache read-only and write
-    // only its own new rows to the shard file - otherwise every
-    // shard file grows into a full copy of the canonical cache.
-    const std::string base = tempCachePath("freshonly");
+    // A fleet over a warm canonical cache: the plan leases only the
+    // key the cache lacks, the worker that runs it writes a shard
+    // holding exactly that row (workers never read the canonical
+    // file), and the join reproduces a solo sweep of the whole grid.
+    const std::string solo = tempCachePath("warm_solo");
+    const std::string base = tempCachePath("warm_fleet");
+    const std::string sock =
+        ::testing::TempDir() + "migc_shard_warm.sock";
+    std::remove(solo.c_str());
     removeCacheFamily(base, 2);
 
     const auto grid = smallGrid();
-    {
-        SweepEngine solo(base);
-        solo.run(grid); // canonical cache now holds the small grid
-    }
-
     auto extended = grid;
     extended.push_back(
         RunRequest{SimConfig::testConfig(), "FwSoft", "CacheRW-AB"});
+    const std::string sig = extended.back().cfg.signature();
     {
-        SweepEngine engine(base, FleetWorkerSpec{1});
+        SweepEngine engine(solo);
         engine.run(extended);
-        // Everything but the new point replays from the canonical
-        // warm store.
-        EXPECT_EQ(engine.simulationsPerformed(), 1u);
-        EXPECT_EQ(engine.cacheHits(), grid.size());
+    }
+    {
+        SweepEngine engine(base);
+        engine.run(grid); // the canonical cache holds the small grid
     }
 
+    const FleetPlan plan = planFleetSweep(extended, base, 2, false);
+    EXPECT_EQ(plan.cached, grid.size());
+    ASSERT_EQ(plan.pending,
+              std::vector<std::uint32_t>{
+                  static_cast<std::uint32_t>(grid.size())});
+
+    const std::uint64_t hash = gridFingerprint(extended);
+    FleetServer server(sock,
+                       FleetQueue(plan.costs, plan.pending,
+                                  FleetConfig{1, 10000}),
+                       hash);
+    server.start();
+    {
+        SweepEngine engine(base, FleetWorkerSpec{1});
+        FleetClient client(sock, 1, hash);
+        const SweepEngine::FleetRunStats st =
+            engine.runFleet(extended, client, 1);
+        EXPECT_EQ(st.runs, 1u);
+        EXPECT_EQ(st.hits, 0u);
+    }
+    EXPECT_TRUE(server.drained());
+    server.stop();
+
     EXPECT_FALSE(fileExists(shardCachePath(base, 0)));
-    ASSERT_TRUE(fileExists(shardCachePath(base, 1)));
-    RunCache shard_rows(shardCachePath(base, 1), 8);
-    EXPECT_EQ(shard_rows.size(), 1u);
-    EXPECT_NE(shard_rows.find(extended.back().cfg.signature(), "FwSoft",
-                              "CacheRW-AB"),
-              nullptr);
+    {
+        RunCache shard_rows(shardCachePath(base, 1));
+        EXPECT_EQ(shard_rows.size(), 1u);
+        EXPECT_NE(shard_rows.find(sig, "FwSoft", "CacheRW-AB"), nullptr);
+    }
+
+    const ShardMergeStats stats = mergeShardCaches(base, 2);
+    EXPECT_EQ(stats.files, 1u);
+    EXPECT_EQ(stats.rows, 1u);
+    EXPECT_EQ(stats.duplicates, 0u);
+    const std::string solo_bytes = readFile(solo);
+    ASSERT_FALSE(solo_bytes.empty());
+    EXPECT_EQ(solo_bytes, readFile(base));
+
+    std::remove(solo.c_str());
     removeCacheFamily(base, 2);
 }
 
@@ -333,4 +362,50 @@ TEST(ShardMerge, ConflictingRowsFailLoudly)
     EXPECT_TRUE(fileExists(shardCachePath(base, 0)));
     EXPECT_TRUE(fileExists(shardCachePath(base, 1)));
     removeCacheFamily(base, 2);
+}
+
+TEST(ShardMerge, EarliestSegmentWinsAcrossFragmentedInputs)
+{
+    // The join's runs are every valid segment of every input - the
+    // canonical file first, then shard 0.., each in file order - and
+    // the earliest run holding a key wins it.
+    const std::string base = tempCachePath("earliest");
+    removeCacheFamily(base, 1);
+    auto seg = [](const std::vector<RunMetrics> &rows) {
+        std::vector<V4RowRef> refs;
+        for (const RunMetrics &m : rows)
+            refs.push_back(V4RowRef{"sectionA", m.workload, m.policy, m});
+        return buildV4Segment(refs);
+    };
+    const RunMetrics a1 = fakeMetrics("A", "p", 1);
+    const RunMetrics a2 = fakeMetrics("A", "p", 2);
+    const RunMetrics b3 = fakeMetrics("B", "p", 3);
+    const RunMetrics c4 = fakeMetrics("C", "p", 4);
+    auto write = [](const std::string &path, const std::string &bytes) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    };
+    // A conflict inside the canonical file warns and keeps the first
+    // row; shard rows equal to an earlier run's are duplicates.
+    write(base, seg({a1}) + seg({a2, b3}));
+    write(shardCachePath(base, 0), seg({c4}) + seg({b3, c4}));
+
+    const ShardMergeStats stats = mergeShardCaches(base, 1);
+    EXPECT_EQ(stats.files, 1u);
+    EXPECT_EQ(stats.rows, 1u);
+    EXPECT_EQ(stats.duplicates, 2u);
+    EXPECT_EQ(stats.parseErrors, 0u);
+    EXPECT_EQ(readFile(base), seg({a1, b3, c4}));
+    EXPECT_FALSE(fileExists(shardCachePath(base, 0)));
+
+    // A later segment of one shard that contradicts an earlier one
+    // is as fatal as a cross-shard conflict, and nothing is consumed.
+    write(shardCachePath(base, 0),
+          seg({c4}) + seg({fakeMetrics("C", "p", 5)}));
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(mergeShardCaches(base, 1), ::testing::ExitedWithCode(1),
+                "conflict");
+    EXPECT_TRUE(fileExists(shardCachePath(base, 0)));
+    EXPECT_EQ(readFile(base), seg({a1, b3, c4}));
+    removeCacheFamily(base, 1);
 }
